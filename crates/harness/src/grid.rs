@@ -502,11 +502,55 @@ pub fn merge(experiment: ExperimentId, outputs: &[Vec<CellOutput>]) -> FigureDat
             merge_boot(experiment, outputs)
         }
         Fig18Hap => merge_hap(experiment, outputs),
-        LoadMemcached | LoadMysql => merge_load(experiment, outputs),
-        TenantIsolationMemcached | TenantIsolationMysql => merge_tenant(experiment, outputs),
-        PipelineMemcached | PipelineMysql => merge_pipeline(experiment, outputs),
-        ClusterMemcached | ClusterMysql => merge_cluster(experiment, outputs),
-        ClusterFailoverMemcached | ClusterFailoverMysql => merge_failover(experiment, outputs),
+        LoadMemcached | LoadMysql => merge_points(
+            experiment,
+            outputs,
+            |o| match o {
+                CellOutput::Load(points) => Some(points.as_slice()),
+                _ => None,
+            },
+            &LOAD_METRICS,
+            load_metric,
+            |_, p| fraction_x(p.offered_fraction),
+        ),
+        TenantIsolationMemcached | TenantIsolationMysql => merge_points(
+            experiment,
+            outputs,
+            |o| match o {
+                CellOutput::Tenant(points) => Some(points.as_slice()),
+                _ => None,
+            },
+            &TENANT_METRICS,
+            tenant_metric,
+            |_, p| fraction_x(p.aggressor_fraction),
+        ),
+        PipelineMemcached | PipelineMysql => merge_points(
+            experiment,
+            outputs,
+            |o| match o {
+                CellOutput::Pipeline(points) => Some(points.as_slice()),
+                _ => None,
+            },
+            &PIPELINE_METRICS,
+            pipeline_metric,
+            |xi, p| (p.label.clone(), xi as f64),
+        ),
+        ClusterMemcached | ClusterMysql => merge_points(
+            experiment,
+            outputs,
+            cluster_points,
+            &CLUSTER_METRICS,
+            cluster_metric,
+            |xi, p| (p.label.clone(), xi as f64),
+        ),
+        ClusterFailoverMemcached | ClusterFailoverMysql => merge_points(
+            experiment,
+            outputs,
+            cluster_points,
+            &FAILOVER_METRICS,
+            failover_metric,
+            |xi, p| (p.label.clone(), xi as f64),
+        ),
         // Fig. 11 reports the maximum over the runs, everything else the mean.
         Fig11Iperf => merge_bars(experiment, outputs, true),
         _ => merge_bars(experiment, outputs, false),
@@ -538,27 +582,42 @@ fn load_metric(point: &LoadPoint, metric: &str) -> f64 {
     }
 }
 
-fn merge_load(experiment: ExperimentId, outputs: &[Vec<CellOutput>]) -> FigureData {
+/// Merges the per-trial sweeps of one per-metric sweep experiment (load,
+/// tenancy, pipeline or cluster): for every entry and metric, one
+/// `"<platform> <metric>"` series whose points are the trial mean and
+/// standard deviation of `metric_of` at each sweep index, placed at
+/// `x_of(index, first trial's point)`. `sweep` extracts the experiment's
+/// points from a cell output.
+fn merge_points<P>(
+    experiment: ExperimentId,
+    outputs: &[Vec<CellOutput>],
+    sweep: fn(&CellOutput) -> Option<&[P]>,
+    metrics: &[&str],
+    metric_of: fn(&P, &str) -> f64,
+    x_of: fn(usize, &P) -> (String, f64),
+) -> FigureData {
     let mut fig = FigureData::new(experiment);
     for (entry, trials) in entries(experiment).iter().zip(outputs) {
-        let sweeps: Vec<&[LoadPoint]> = trials
+        let sweeps: Vec<&[P]> = trials
             .iter()
-            .map(|output| match output {
-                CellOutput::Load(points) => points.as_slice(),
-                other => unreachable!("{experiment:?} produced {other:?}, expected a load sweep"),
+            .map(|output| {
+                sweep(output).unwrap_or_else(|| {
+                    unreachable!("{experiment:?} produced {output:?}, expected its sweep points")
+                })
             })
             .collect();
         let first = sweeps.first().expect("every entry runs at least one trial");
-        for metric in LOAD_METRICS {
+        for metric in metrics {
             let mut series = Series::new(&format!("{} {metric}", entry.label));
             for (xi, sample) in first.iter().enumerate() {
                 let stats: RunningStats = sweeps
                     .iter()
-                    .map(|points| load_metric(&points[xi], metric))
+                    .map(|points| metric_of(&points[xi], metric))
                     .collect();
+                let (x, x_value) = x_of(xi, sample);
                 series.points.push(DataPoint {
-                    x: format!("{:.2}", sample.offered_fraction),
-                    x_value: sample.offered_fraction,
+                    x,
+                    x_value,
                     mean: stats.mean(),
                     std_dev: stats.std_dev(),
                 });
@@ -567,6 +626,19 @@ fn merge_load(experiment: ExperimentId, outputs: &[Vec<CellOutput>]) -> FigureDa
         }
     }
     fig
+}
+
+/// The x of a point swept over a load fraction: two-decimal label and the
+/// fraction itself.
+fn fraction_x(fraction: f64) -> (String, f64) {
+    (format!("{fraction:.2}"), fraction)
+}
+
+fn cluster_points(output: &CellOutput) -> Option<&[ClusterPoint]> {
+    match output {
+        CellOutput::Cluster(points) => Some(points),
+        _ => None,
+    }
 }
 
 /// The per-platform metric series of one tenant-isolation figure, in
@@ -661,39 +733,6 @@ fn pipeline_metric(point: &PipelinePoint, metric: &str) -> f64 {
     }
 }
 
-fn merge_pipeline(experiment: ExperimentId, outputs: &[Vec<CellOutput>]) -> FigureData {
-    let mut fig = FigureData::new(experiment);
-    for (entry, trials) in entries(experiment).iter().zip(outputs) {
-        let sweeps: Vec<&[PipelinePoint]> = trials
-            .iter()
-            .map(|output| match output {
-                CellOutput::Pipeline(points) => points.as_slice(),
-                other => {
-                    unreachable!("{experiment:?} produced {other:?}, expected a pipeline sweep")
-                }
-            })
-            .collect();
-        let first = sweeps.first().expect("every entry runs at least one trial");
-        for metric in PIPELINE_METRICS {
-            let mut series = Series::new(&format!("{} {metric}", entry.label));
-            for (xi, sample) in first.iter().enumerate() {
-                let stats: RunningStats = sweeps
-                    .iter()
-                    .map(|points| pipeline_metric(&points[xi], metric))
-                    .collect();
-                series.points.push(DataPoint {
-                    x: sample.label.clone(),
-                    x_value: xi as f64,
-                    mean: stats.mean(),
-                    std_dev: stats.std_dev(),
-                });
-            }
-            fig.series.push(series);
-        }
-    }
-    fig
-}
-
 /// The per-platform metric series of one sharded-cluster figure, in
 /// series order: cluster-wide sojourn percentiles, the hottest shard's
 /// tail, the steady-phase load imbalance, and the achieved/drop
@@ -783,52 +822,6 @@ fn failover_metric(point: &ClusterPoint, metric: &str) -> f64 {
     }
 }
 
-fn merge_cluster(experiment: ExperimentId, outputs: &[Vec<CellOutput>]) -> FigureData {
-    merge_cluster_family(experiment, outputs, &CLUSTER_METRICS, cluster_metric)
-}
-
-fn merge_failover(experiment: ExperimentId, outputs: &[Vec<CellOutput>]) -> FigureData {
-    merge_cluster_family(experiment, outputs, &FAILOVER_METRICS, failover_metric)
-}
-
-fn merge_cluster_family(
-    experiment: ExperimentId,
-    outputs: &[Vec<CellOutput>],
-    metrics: &[&str],
-    metric_of: fn(&ClusterPoint, &str) -> f64,
-) -> FigureData {
-    let mut fig = FigureData::new(experiment);
-    for (entry, trials) in entries(experiment).iter().zip(outputs) {
-        let sweeps: Vec<&[ClusterPoint]> = trials
-            .iter()
-            .map(|output| match output {
-                CellOutput::Cluster(points) => points.as_slice(),
-                other => {
-                    unreachable!("{experiment:?} produced {other:?}, expected a cluster sweep")
-                }
-            })
-            .collect();
-        let first = sweeps.first().expect("every entry runs at least one trial");
-        for metric in metrics {
-            let mut series = Series::new(&format!("{} {metric}", entry.label));
-            for (xi, sample) in first.iter().enumerate() {
-                let stats: RunningStats = sweeps
-                    .iter()
-                    .map(|points| metric_of(&points[xi], metric))
-                    .collect();
-                series.points.push(DataPoint {
-                    x: sample.label.clone(),
-                    x_value: xi as f64,
-                    mean: stats.mean(),
-                    std_dev: stats.std_dev(),
-                });
-            }
-            fig.series.push(series);
-        }
-    }
-    fig
-}
-
 /// The platform labels of a merged per-metric sweep figure (load,
 /// tenancy, pipeline or cluster), recovered in canonical entry order by
 /// stripping one of the figure's metric suffixes (e.g. [`LOAD_P50`],
@@ -863,39 +856,6 @@ fn tenant_metric(point: &ColocationPoint, metric: &str) -> f64 {
         TENANT_AGGRESSOR_DROP_RATE => point.aggressor.drop_rate,
         other => unreachable!("unknown tenant metric {other}"),
     }
-}
-
-fn merge_tenant(experiment: ExperimentId, outputs: &[Vec<CellOutput>]) -> FigureData {
-    let mut fig = FigureData::new(experiment);
-    for (entry, trials) in entries(experiment).iter().zip(outputs) {
-        let sweeps: Vec<&[ColocationPoint]> = trials
-            .iter()
-            .map(|output| match output {
-                CellOutput::Tenant(points) => points.as_slice(),
-                other => {
-                    unreachable!("{experiment:?} produced {other:?}, expected a tenant sweep")
-                }
-            })
-            .collect();
-        let first = sweeps.first().expect("every entry runs at least one trial");
-        for metric in TENANT_METRICS {
-            let mut series = Series::new(&format!("{} {metric}", entry.label));
-            for (xi, sample) in first.iter().enumerate() {
-                let stats: RunningStats = sweeps
-                    .iter()
-                    .map(|points| tenant_metric(&points[xi], metric))
-                    .collect();
-                series.points.push(DataPoint {
-                    x: format!("{:.2}", sample.aggressor_fraction),
-                    x_value: sample.aggressor_fraction,
-                    mean: stats.mean(),
-                    std_dev: stats.std_dev(),
-                });
-            }
-            fig.series.push(series);
-        }
-    }
-    fig
 }
 
 fn merge_bars(

@@ -82,9 +82,9 @@ pub fn traced_run(target: &str, quick: bool, seed: u64) -> Result<TraceArtifacts
                 PipelineBenchmark::new(LoadBackend::Memcached)
             };
             let setting = PipelineSetting::new(4, BASELINE_HIT_RATE);
-            let (_, recorder) =
-                bench.run_setting_traced(&platform, &setting, &mut run_rng, recorder)?;
-            recorder
+            bench
+                .run_setting(&platform, &setting, &mut run_rng, Some(recorder))?
+                .1
         }
         "cluster" => {
             let bench = if quick {
@@ -93,9 +93,9 @@ pub fn traced_run(target: &str, quick: bool, seed: u64) -> Result<TraceArtifacts
                 ClusterBenchmark::new(LoadBackend::Memcached)
             };
             let setting = ClusterSetting::rebalance(16);
-            let (_, recorder) =
-                bench.run_setting_traced(&platform, &setting, &mut run_rng, recorder)?;
-            recorder
+            bench
+                .run_setting(&platform, &setting, &mut run_rng, Some(recorder))?
+                .1
         }
         "tenancy" => {
             let bench = if quick {
@@ -106,14 +106,15 @@ pub fn traced_run(target: &str, quick: bool, seed: u64) -> Result<TraceArtifacts
             let mut aggressor = bench.aggressor.clone();
             aggressor.offered_fraction = 0.8;
             let tenants = [bench.victim.clone(), aggressor];
-            let (_, recorder) = bench.run_colocated_traced(
-                &platform,
-                &tenants,
-                SlotPolicy::WeightedDrr,
-                &mut run_rng,
-                recorder,
-            )?;
-            recorder
+            bench
+                .run_colocated(
+                    &platform,
+                    &tenants,
+                    SlotPolicy::WeightedDrr,
+                    &mut run_rng,
+                    Some(recorder),
+                )?
+                .1
         }
         "loadgen" => {
             let bench = if quick {
@@ -121,8 +122,9 @@ pub fn traced_run(target: &str, quick: bool, seed: u64) -> Result<TraceArtifacts
             } else {
                 LoadgenBenchmark::new(LoadBackend::Memcached)
             };
-            let (_, recorder) = bench.run_point_traced(&platform, 0.8, &mut run_rng, recorder)?;
-            recorder
+            bench
+                .run_point(&platform, 0.8, &mut run_rng, Some(recorder))?
+                .1
         }
         other => {
             return Err(SimError::InvalidConfig(format!(
@@ -130,6 +132,7 @@ pub fn traced_run(target: &str, quick: bool, seed: u64) -> Result<TraceArtifacts
             )))
         }
     };
+    let recorder = recorder.expect("a traced run returns its recorder");
     Ok(TraceArtifacts {
         chrome: recorder.chrome_trace_json(target),
         timeline: recorder.timeline_json(target, seed),

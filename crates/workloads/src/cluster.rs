@@ -74,8 +74,10 @@ use simcore::resource::CompletionTimer;
 use simcore::stats::{Cdf, RunningStats};
 use simcore::{Nanos, ShardedCores, SimRng};
 
-use crate::loadgen::ARRIVAL_CHUNK;
-use crate::slots::{backend_profile, Admission, ClassConfig, SlotPolicy, SlotPool};
+use crate::engine::ARRIVAL_CHUNK;
+use crate::slots::{
+    backend_profile, validated_fraction, Admission, ClassConfig, SlotPolicy, SlotPool,
+};
 pub use crate::slots::{LoadBackend, ServiceProfile};
 
 /// Baseline Zipf skew of the shard-count sweep (the `s` in Zipf(s)).
@@ -401,18 +403,10 @@ impl ClusterBenchmark {
     }
 
     fn validate(&self) -> Result<(), SimError> {
-        let check_rate = |what: &str, v: f64| {
-            if !v.is_finite() || !(0.0..=1.0).contains(&v) {
-                return Err(SimError::InvalidConfig(format!(
-                    "{what} must be a fraction in [0, 1], got {v}"
-                )));
-            }
-            Ok(())
-        };
-        check_rate("cluster hot-key fraction", self.hot_fraction)?;
-        check_rate("cluster rebalance boundary", self.rebalance_after)?;
-        check_rate("cluster scatter fraction", self.scatter_fraction)?;
-        check_rate("cluster write fraction", self.write_fraction)?;
+        validated_fraction("cluster hot-key fraction", self.hot_fraction)?;
+        validated_fraction("cluster rebalance boundary", self.rebalance_after)?;
+        validated_fraction("cluster scatter fraction", self.scatter_fraction)?;
+        validated_fraction("cluster write fraction", self.write_fraction)?;
         if self.keys == 0 || self.hot_keys == 0 || self.hot_keys > self.keys {
             return Err(SimError::InvalidConfig(format!(
                 "cluster key universe ({}) must contain the hot set ({})",
@@ -524,19 +518,20 @@ impl ClusterBenchmark {
                     key_rng: keys.clone(),
                     class_rng: classes.clone(),
                 };
-                self.run_setting(&profile, setting, streams, faults.clone(), None)
+                self.run_with_streams(&profile, setting, streams, faults.clone(), None)
                     .map(|(point, _)| point)
             })
             .collect()
     }
 
-    /// Runs one sweep point with the span recorder attached and returns
-    /// the measured point together with the recorder, ready for export.
+    /// Runs one sweep point, with an optional span recorder attached, and
+    /// returns the measured point together with the recorder, ready for
+    /// export.
     ///
     /// The stream discipline matches [`ClusterBenchmark::run_trial`]
-    /// (the same three named splits taken in the same order), and the
-    /// recorder consumes no draws, so the traced point is equal to the
-    /// corresponding untraced sweep point. Event-core counters are *not*
+    /// (the same named splits taken in the same order), and the recorder
+    /// consumes no draws, so the point equals the corresponding sweep
+    /// point of an untraced trial. Event-core counters are *not*
     /// attached to the timeline: the wheel-topology counters legitimately
     /// differ per [`ClusterBenchmark::shard_cores`], while the traced
     /// artifacts must stay byte-identical for any lane count.
@@ -545,13 +540,13 @@ impl ClusterBenchmark {
     ///
     /// Returns [`SimError::InvalidConfig`] for a degenerate service
     /// profile, hotspot mix, Zipf skew or sweep point.
-    pub fn run_setting_traced(
+    pub fn run_setting(
         &self,
         platform: &Platform,
         setting: &ClusterSetting,
         rng: &mut SimRng,
-        recorder: Recorder,
-    ) -> Result<(ClusterPoint, Recorder), SimError> {
+        recorder: Option<Recorder>,
+    ) -> Result<(ClusterPoint, Option<Recorder>), SimError> {
         self.validate()?;
         Self::validate_setting(setting)?;
         let profile = self.service_profile(platform)?;
@@ -562,8 +557,7 @@ impl ClusterBenchmark {
             class_rng: rng.split("classes"),
         };
         let faults = rng.split("faults");
-        let (point, obs) = self.run_setting(&profile, setting, streams, faults, Some(recorder))?;
-        Ok((point, obs.expect("the traced run returns its recorder")))
+        self.run_with_streams(&profile, setting, streams, faults, recorder)
     }
 
     /// The expected backend work units per request at a setting — the
@@ -585,7 +579,7 @@ impl ClusterBenchmark {
     }
 
     /// Runs one sweep point through the lock-step core group.
-    fn run_setting(
+    fn run_with_streams(
         &self,
         profile: &ServiceProfile,
         setting: &ClusterSetting,
@@ -1655,8 +1649,14 @@ mod tests {
             };
             let recorder = Recorder::try_new(ObsConfig::new(7, 0.25)).unwrap();
             let (point, obs) = bench
-                .run_setting_traced(&platform, &setting, &mut SimRng::seed_from(73), recorder)
+                .run_setting(
+                    &platform,
+                    &setting,
+                    &mut SimRng::seed_from(73),
+                    Some(recorder),
+                )
                 .unwrap();
+            let obs = obs.expect("the recorder threads through the run");
             assert_eq!(plain[0], point, "{shard_cores} lanes: tracing perturbed");
             assert!(obs.spans_accepted() > 0);
             artifacts.push((
@@ -1991,8 +1991,14 @@ mod tests {
             .unwrap();
         let recorder = Recorder::try_new(ObsConfig::new(9, 0.25)).unwrap();
         let (point, obs) = bench
-            .run_setting_traced(&platform, &setting, &mut SimRng::seed_from(81), recorder)
+            .run_setting(
+                &platform,
+                &setting,
+                &mut SimRng::seed_from(81),
+                Some(recorder),
+            )
             .unwrap();
+        let obs = obs.expect("the recorder threads through the run");
         assert_eq!(untraced[0], point, "tracing perturbed the failover point");
         let trace = obs.chrome_trace_json("cluster_failover");
         assert!(trace.contains("\"route\""), "router instants missing");

@@ -16,24 +16,26 @@
 //! | [`ycsb`] | Memcached + YCSB workload A | Fig. 16 |
 //! | [`sysbench_oltp`] | MySQL + sysbench oltp_read_write | Fig. 17 |
 //!
-//! Beyond the paper, [`loadgen`] adds an **open-loop** load-generation
-//! subsystem: Poisson arrivals over a configurable client population drive
-//! the memcached/MySQL backends through a bounded admission queue,
-//! producing throughput-vs-latency (p50/p95/p99) curves per platform.
-//! [`tenancy`] co-locates several such populations on one platform —
-//! per-tenant bounded admission queues in front of the weighted
-//! deficit-round-robin service-slot scheduler in [`slots`] — to measure
-//! isolation *between* workloads (victim-vs-aggressor sweeps, SLO
-//! violations, isolation indices). [`pipeline`] replaces the opaque
-//! per-request service time with a staged middleware chain — per-stage
-//! in/out costs, a warmable auth cache with hit/miss latencies, and
-//! short-circuit probabilities — composed on the same admission/slot
-//! core, sweeping chain depth and cache hit rate per platform.
-//! [`cluster`] scales from the node to the fleet: a routing tier hashes
-//! Zipf-skewed keys over N backend shards, each with its own admission
-//! queue, slot pool and store cache on its own event-core lane, advancing
-//! in deterministic bounded lock-step — sweeping shard count, skew and
-//! rebalancing policy. All four sweep workloads implement the
+//! Beyond the paper, four sweep workloads measure platforms under offered
+//! load. [`loadgen`], [`pipeline`] and [`tenancy`] are three
+//! configurations of one open-loop request engine: a list of request
+//! classes — each an arrival source, a service profile, a middleware
+//! chain, a sampled backend, a bounded admission queue and a weight —
+//! sharing the derated service-slot pool of [`slots`], driven by one loop
+//! over typed events. [`loadgen`] is one class with an empty chain:
+//! Poisson arrivals over a client population drive the memcached/MySQL
+//! backends, producing throughput-vs-latency (p50/p95/p99) curves per
+//! platform. [`pipeline`] gives that class a staged middleware chain —
+//! per-stage in/out costs, a warmable auth cache with hit/miss latencies,
+//! and short-circuit probabilities — sweeping chain depth and cache hit
+//! rate. [`tenancy`] runs one class per tenant under the weighted
+//! deficit-round-robin slot scheduler to measure isolation *between*
+//! workloads (victim-vs-aggressor sweeps, SLO violations, isolation
+//! indices). [`cluster`] scales from the node to the fleet: a routing tier
+//! hashes Zipf-skewed keys over N backend shards, each with its own
+//! admission queue, slot pool and store cache on its own event-core lane,
+//! advancing in deterministic bounded lock-step — sweeping shard count,
+//! skew and rebalancing policy. All four sweep workloads implement the
 //! [`bench::WorkloadBenchmark`] trait, the grid's one dispatch surface.
 
 // No unsafe anywhere in the simulation layers: the bit-identical replay
@@ -45,6 +47,7 @@
 
 pub mod bench;
 pub mod cluster;
+mod engine;
 pub mod ffmpeg;
 pub mod fio;
 pub mod iperf;

@@ -17,19 +17,17 @@
 //! [`OltpBenchmark::contention`] for MySQL — and each request samples its
 //! own service time from the profile's log-normal distribution around
 //! that mean ([`ServiceProfile::service_distribution`]), so the reported
-//! tails reflect service-time variance as well as queueing. The slot pool
-//! and bounded admission queue are the shared [`crate::slots`] core, which
-//! the multi-tenant [`crate::tenancy`] subsystem builds on too.
+//! tails reflect service-time variance as well as queueing.
 //!
-//! The whole sweep runs on the [`simcore::Simulation`] discrete-event
-//! scheduler: arrivals are pre-sampled in bounded chunks
-//! ([`Simulation::schedule_batch`]) so the pending-event count stays small
-//! even for very large request counts. Within one trial the arrival and
-//! service streams are **common random numbers** across the sweep points —
-//! the same unit-rate arrival gaps (scaled by the offered rate) and the
-//! same service-time sequence — so latency curves are monotone in offered
-//! load by coupling, not just in expectation; every stream derives from
-//! the cell's own random stream, keeping results bit-identical across any
+//! A sweep point is the simplest configuration of the crate's one
+//! open-loop request engine: a single request class with a count-bounded
+//! Poisson source, an empty middleware chain and in-flight probes, on the
+//! [`crate::slots`] pool. Within one trial the arrival and service streams
+//! are **common random numbers** across the sweep points — the same
+//! unit-rate arrival gaps (scaled by the offered rate) and the same
+//! service-time sequence — so latency curves are monotone in offered load
+//! by coupling, not just in expectation; every stream derives from the
+//! cell's own random stream, keeping results bit-identical across any
 //! parallel execution schedule.
 //!
 //! [`YcsbBenchmark::per_op_service_time`]: crate::ycsb::YcsbBenchmark::per_op_service_time
@@ -38,12 +36,13 @@
 
 use platforms::Platform;
 use simcore::error::SimError;
-use simcore::obs::{Recorder, SpanKind};
-use simcore::resource::CompletionTimer;
-use simcore::stats::{Cdf, RunningStats};
-use simcore::{Nanos, SimRng, Simulation};
+use simcore::obs::Recorder;
+use simcore::stats::Cdf;
+use simcore::SimRng;
 
-use crate::slots::{backend_profile, Admission, BackendState, ClassConfig, SlotPolicy, SlotPool};
+use crate::engine::{self, Arrivals, Class, Pool};
+use crate::pipeline::MiddlewareChain;
+use crate::slots::{backend_profile, SlotPolicy};
 pub use crate::slots::{LoadBackend, ServiceProfile};
 
 /// Configuration of one open-loop load sweep.
@@ -51,8 +50,7 @@ pub use crate::slots::{LoadBackend, ServiceProfile};
 pub struct LoadgenBenchmark {
     /// Which backend to drive.
     pub backend: LoadBackend,
-    /// Number of client connections the arrivals are spread over. Each
-    /// connection keeps its own issued/completed/dropped accounting; the
+    /// Number of client connections the arrivals are attributed over; the
     /// population can range from hundreds to millions.
     pub clients: usize,
     /// Requests offered per sweep point (the measurement window is sized so
@@ -115,54 +113,32 @@ impl LoadgenBenchmark {
     }
 
     /// Runs one sweep point at `fraction` of the platform's saturation
-    /// capacity.
+    /// capacity, with an optional trace [`Recorder`] attached.
+    ///
+    /// The recorder comes back loaded with admission-wait and
+    /// slot-service spans for the sampled requests, the windowed pool
+    /// time-series, and the run's event-core counter profile. Tracing is
+    /// observation only: the recorder consumes no random draws (span
+    /// sampling is the stateless [`simcore::rng::mix`] of the recorder's
+    /// seed and the arrival index), so the point is the same with or
+    /// without it.
     ///
     /// # Errors
     ///
     /// Propagates the degenerate-profile error of
-    /// [`LoadgenBenchmark::service_profile`].
+    /// [`LoadgenBenchmark::service_profile`], and rejects a configuration
+    /// with no requests per point.
     pub fn run_point(
         &self,
         platform: &Platform,
         fraction: f64,
         rng: &mut SimRng,
-    ) -> Result<LoadPoint, SimError> {
+        recorder: Option<Recorder>,
+    ) -> Result<(LoadPoint, Option<Recorder>), SimError> {
         let profile = self.service_profile(platform)?;
         let arrival = rng.split("arrivals");
         let service = rng.split("service");
-        Ok(self
-            .run_point_with_profile(&profile, fraction, arrival, service, rng, None)
-            .0)
-    }
-
-    /// Runs one sweep point with a trace [`Recorder`] attached and
-    /// returns it alongside the measurement, loaded with admission-wait
-    /// and slot-service spans for the sampled requests, the windowed
-    /// pool time-series, and the run's event-core counter profile.
-    ///
-    /// Tracing is observation only: the recorder consumes no random
-    /// draws (span sampling is the stateless [`simcore::rng::mix`] of
-    /// the recorder's seed and the arrival index), so the returned
-    /// [`LoadPoint`] is bit-identical to the untraced
-    /// [`LoadgenBenchmark::run_point`] of the same streams.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the degenerate-profile error of
-    /// [`LoadgenBenchmark::service_profile`].
-    pub fn run_point_traced(
-        &self,
-        platform: &Platform,
-        fraction: f64,
-        rng: &mut SimRng,
-        recorder: Recorder,
-    ) -> Result<(LoadPoint, Recorder), SimError> {
-        let profile = self.service_profile(platform)?;
-        let arrival = rng.split("arrivals");
-        let service = rng.split("service");
-        let (point, obs) =
-            self.run_point_with_profile(&profile, fraction, arrival, service, rng, Some(recorder));
-        Ok((point, obs.expect("the recorder threads through the run")))
+        self.run_with_profile(&profile, fraction, arrival, service, rng, recorder)
     }
 
     /// Runs one sweep point against an already-computed service profile
@@ -172,9 +148,9 @@ impl LoadgenBenchmark {
     /// offered rate) and `service_rng` the per-request service times;
     /// passing the same streams at every fraction of a sweep yields the
     /// common-random-numbers coupling the monotonicity of the curves
-    /// relies on. `misc_rng` covers the timing-irrelevant draws
-    /// (connection attribution, sampled backend operations).
-    fn run_point_with_profile(
+    /// relies on. The timing-irrelevant draws (connection attribution,
+    /// sampled backend operations) come from a split of `misc_rng`.
+    fn run_with_profile(
         &self,
         profile: &ServiceProfile,
         fraction: f64,
@@ -182,38 +158,45 @@ impl LoadgenBenchmark {
         service_rng: SimRng,
         misc_rng: &mut SimRng,
         obs: Option<Recorder>,
-    ) -> (LoadPoint, Option<Recorder>) {
+    ) -> Result<(LoadPoint, Option<Recorder>), SimError> {
         let offered_per_sec = profile.capacity_per_sec() * fraction.max(0.0);
-        let mut sim: Simulation<LoadSim> = Simulation::new();
-        let mut state = LoadSim::new(
-            self,
-            profile,
-            offered_per_sec,
-            arrival_rng,
+        let class = Class {
+            lane: "pool".into(),
+            arrivals: Arrivals::counted(arrival_rng, self.requests_per_point, offered_per_sec),
+            profile: *profile,
             service_rng,
-            misc_rng.split(MISC_STREAM),
-            obs,
-        );
-        // Kick off the batched Poisson arrival source.
-        sim.schedule_at(Nanos::ZERO, |sim, st: &mut LoadSim| st.generate(sim));
-        // Probe the in-flight population (in service + queued) at a fixed
-        // cadence across the expected arrival window, yielding the
-        // time-averaged depth alongside the event-driven peak.
-        let probes = 64;
-        let window =
-            Nanos::from_secs_f64(self.requests_per_point as f64 / offered_per_sec.max(1.0));
-        let period = window / probes;
-        sim.schedule_periodic(period, period, probes, |_, st: &mut LoadSim| {
-            st.in_flight_probe.record(st.pool.in_flight() as f64);
-        });
-        sim.run(&mut state);
-        if let Some(obs) = state.obs.as_mut() {
-            // The wheel profile of one sweep point: the simulation's own
-            // queue plus the batched completion timer's.
-            obs.set_core_counters(sim.counters().merged(state.completions.counters()));
-        }
-        let obs = state.obs.take();
-        (state.into_point(fraction, offered_per_sec, sim.now()), obs)
+            chain: MiddlewareChain::empty(),
+            stage_rngs: Vec::new(),
+            backend: self.backend,
+            clients: self.clients,
+            weight: 1,
+            queue_capacity: self.queue_capacity,
+        };
+        let pool = Pool {
+            servers: profile.servers,
+            policy: SlotPolicy::FifoArrival,
+            op_sample_every: self.op_sample_every,
+            probes: true,
+        };
+        let mut run = engine::run(&pool, vec![class], misc_rng.split(MISC_STREAM), obs)?;
+        let class = run.classes.remove(0);
+        let cdf = Cdf::from_samples(class.sojourns_us)
+            .expect("a validated sweep point completes at least one request");
+        let duration = run.end.as_secs_f64().max(f64::MIN_POSITIVE);
+        let point = LoadPoint {
+            offered_fraction: fraction,
+            offered_per_sec,
+            achieved_per_sec: class.ledger.completed as f64 / duration,
+            p50_us: cdf.percentile(50.0),
+            p95_us: cdf.percentile(95.0),
+            p99_us: cdf.percentile(99.0),
+            mean_us: cdf.mean(),
+            completed: class.ledger.completed,
+            dropped: class.ledger.dropped,
+            peak_in_flight: run.peak_in_flight,
+            mean_in_flight: run.mean_in_flight,
+        };
+        Ok((point, run.obs))
     }
 
     /// Runs the whole offered-load sweep once and returns one
@@ -226,7 +209,8 @@ impl LoadgenBenchmark {
     /// # Errors
     ///
     /// Propagates the degenerate-profile error of
-    /// [`LoadgenBenchmark::service_profile`].
+    /// [`LoadgenBenchmark::service_profile`], and rejects a configuration
+    /// with no requests per point.
     pub fn run_trial(
         &self,
         platform: &Platform,
@@ -237,11 +221,10 @@ impl LoadgenBenchmark {
         // unit-rate arrival gaps and the same service-time sequence.
         let arrival = rng.split("arrivals");
         let service = rng.split("service");
-        Ok(self
-            .load_points
+        self.load_points
             .iter()
             .map(|&fraction| {
-                self.run_point_with_profile(
+                self.run_with_profile(
                     &profile,
                     fraction,
                     arrival.clone(),
@@ -249,9 +232,9 @@ impl LoadgenBenchmark {
                     rng,
                     None,
                 )
-                .0
+                .map(|(point, _)| point)
             })
-            .collect())
+            .collect()
     }
 }
 
@@ -283,270 +266,11 @@ pub struct LoadPoint {
     pub mean_in_flight: f64,
 }
 
-/// Per-connection accounting of the open-loop client population.
-#[derive(Debug, Default, Clone, Copy)]
-struct ConnState {
-    issued: u64,
-    completed: u64,
-    dropped: u64,
-}
-
-/// A request waiting in the admission queue or in service.
-#[derive(Debug, Clone, Copy)]
-struct Request {
-    /// Deterministic arrival index, the identity trace sampling keys on.
-    id: u64,
-    arrived: Nanos,
-    conn: u32,
-}
-
-/// Arrivals are pre-sampled and enqueued in chunks of this size, bounding
-/// the scheduler's pending-event count regardless of the sweep size.
-/// Shared with [`crate::pipeline`], whose zero-stage chain must replay
-/// this module's event schedule bit for bit.
-pub(crate) const ARRIVAL_CHUNK: u64 = 512;
-
 /// Label of the per-point miscellaneous stream (connection attribution,
-/// sampled backend operations). [`crate::pipeline`] splits the same label
+/// sampled backend operations). [`crate::pipeline`] splits the same label,
 /// so a zero-stage chain consumes the cell stream exactly like this
-/// module does — the bit-for-bit degenerate-chain contract.
+/// module does.
 pub(crate) const MISC_STREAM: &str = "loadgen";
-
-/// The discrete-event state of one sweep point.
-struct LoadSim {
-    arrival_rng: SimRng,
-    service_rng: SimRng,
-    misc_rng: SimRng,
-    profile: ServiceProfile,
-    pool: SlotPool<Request>,
-    offered_per_sec: f64,
-    remaining_arrivals: u64,
-    conns: Vec<ConnState>,
-    latencies_us: Vec<f64>,
-    completed: u64,
-    dropped: u64,
-    peak_in_flight: usize,
-    backend: BackendState,
-    op_sample_every: u64,
-    admitted: u64,
-    in_flight_probe: RunningStats,
-    /// Batched completion drain: in-service requests wait here instead of
-    /// each owning a scheduled closure; coalesced wakes drain a whole
-    /// timing-wheel slot per clock advance.
-    completions: CompletionTimer<Request>,
-    drain_buf: Vec<(Nanos, Request)>,
-    dispatch_buf: Vec<(usize, Nanos, Request)>,
-    /// Arrival indices double as trace-sampling identities.
-    next_request: u64,
-    /// `None` is the zero-cost untraced path.
-    obs: Option<Recorder>,
-    obs_lane: u32,
-}
-
-impl LoadSim {
-    fn new(
-        bench: &LoadgenBenchmark,
-        profile: &ServiceProfile,
-        offered_per_sec: f64,
-        arrival_rng: SimRng,
-        service_rng: SimRng,
-        misc_rng: SimRng,
-        mut obs: Option<Recorder>,
-    ) -> Self {
-        let obs_lane = obs.as_mut().map_or(0, |o| o.lane("pool"));
-        let pool = SlotPool::new(
-            profile.servers,
-            SlotPolicy::FifoArrival,
-            vec![ClassConfig {
-                weight: 1,
-                queue_capacity: bench.queue_capacity,
-                mean_cost: profile.service_time,
-            }],
-        )
-        .expect("a validated service profile yields a valid single-class pool");
-        LoadSim {
-            arrival_rng,
-            service_rng,
-            misc_rng,
-            profile: *profile,
-            pool,
-            offered_per_sec: offered_per_sec.max(1.0),
-            remaining_arrivals: bench.requests_per_point as u64,
-            conns: vec![ConnState::default(); bench.clients.max(1)],
-            latencies_us: Vec::with_capacity(bench.requests_per_point),
-            completed: 0,
-            dropped: 0,
-            peak_in_flight: 0,
-            backend: BackendState::build(bench.backend),
-            op_sample_every: bench.op_sample_every.max(1),
-            admitted: 0,
-            in_flight_probe: RunningStats::new(),
-            completions: CompletionTimer::new(),
-            drain_buf: Vec::new(),
-            dispatch_buf: Vec::new(),
-            next_request: 0,
-            obs,
-            obs_lane,
-        }
-    }
-
-    /// Samples the next chunk of Poisson interarrival gaps and enqueues one
-    /// arrival event per gap; reschedules itself after the chunk's last
-    /// arrival while arrivals remain.
-    fn generate(&mut self, sim: &mut Simulation<LoadSim>) {
-        let n = self.remaining_arrivals.min(ARRIVAL_CHUNK);
-        if n == 0 {
-            return;
-        }
-        self.remaining_arrivals -= n;
-        let mut offset = Nanos::ZERO;
-        let mut batch = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            // Unit-rate exponential gaps scaled by the offered rate: the
-            // same arrival stream compresses uniformly as load grows.
-            offset +=
-                Nanos::from_secs_f64(self.arrival_rng.exponential(1.0) / self.offered_per_sec);
-            batch.push((offset, |sim: &mut Simulation<LoadSim>, st: &mut LoadSim| {
-                st.arrive(sim)
-            }));
-        }
-        sim.schedule_batch(batch);
-        if self.remaining_arrivals > 0 {
-            // Scheduled after the chunk's last arrival (FIFO among equal
-            // timestamps), so the next chunk continues from its clock.
-            sim.schedule_in(offset, |sim, st: &mut LoadSim| st.generate(sim));
-        }
-    }
-
-    /// One open-loop arrival: attribute it to a connection, run the sampled
-    /// real-backend operation, then admit, enqueue or drop.
-    fn arrive(&mut self, sim: &mut Simulation<LoadSim>) {
-        let conn = self.misc_rng.index(self.conns.len()) as u32;
-        self.conns[conn as usize].issued += 1;
-        let request = Request {
-            id: self.next_request,
-            arrived: sim.now(),
-            conn,
-        };
-        self.next_request += 1;
-        if let Some(obs) = self.obs.as_mut() {
-            obs.count_arrival(self.obs_lane, request.arrived);
-        }
-        match self.pool.offer(0, request.arrived, request) {
-            Admission::Dispatched => {
-                self.admit();
-                self.schedule_completion(sim, request);
-            }
-            Admission::Queued => self.admit(),
-            Admission::Dropped => {
-                self.conns[conn as usize].dropped += 1;
-                self.dropped += 1;
-                if let Some(obs) = self.obs.as_mut() {
-                    obs.count_drop(self.obs_lane, request.arrived);
-                }
-            }
-        }
-        self.peak_in_flight = self.peak_in_flight.max(self.pool.in_flight());
-        if let Some(obs) = self.obs.as_mut() {
-            obs.gauge(
-                self.obs_lane,
-                request.arrived,
-                self.pool.queued_total(),
-                self.pool.busy(),
-            );
-        }
-    }
-
-    fn admit(&mut self) {
-        self.admitted += 1;
-        if self.admitted % self.op_sample_every == 0 {
-            self.backend.execute(&mut self.misc_rng);
-        }
-    }
-
-    /// Samples the dispatched request's service time and registers its
-    /// completion with the batched timer, arming a scheduler wake only
-    /// when it became the earliest pending completion.
-    fn schedule_completion(&mut self, sim: &mut Simulation<LoadSim>, request: Request) {
-        let service = self.profile.sample_service_time(&mut self.service_rng);
-        let now = sim.now();
-        if let Some(obs) = self.obs.as_mut() {
-            // Dispatch is where both phases become known: the admission
-            // wait just ended (zero-length when the arrival went straight
-            // to a free slot) and the slot occupancy begins.
-            obs.span(
-                SpanKind::AdmissionWait,
-                request.id,
-                self.obs_lane,
-                request.arrived,
-                now,
-            );
-            obs.span(
-                SpanKind::SlotService,
-                request.id,
-                self.obs_lane,
-                now,
-                now + service,
-            );
-        }
-        if let Some(wake) = self.completions.schedule(now + service, request) {
-            sim.schedule_at(wake, |sim, st: &mut LoadSim| st.drain_completions(sim));
-        }
-    }
-
-    /// One completion wake: drains every service completion due in this
-    /// wheel slot, records their sojourn times, folds the whole batch into
-    /// the pool, and starts service on the requests the freed slots pulled
-    /// from the queue.
-    fn drain_completions(&mut self, sim: &mut Simulation<LoadSim>) {
-        let now = sim.now();
-        let mut due = std::mem::take(&mut self.drain_buf);
-        if let Some(wake) = self.completions.wake(now, &mut due) {
-            sim.schedule_at(wake, |sim, st: &mut LoadSim| st.drain_completions(sim));
-        }
-        for &(at, request) in &due {
-            debug_assert_eq!(at, now, "completions drain exactly at their tick");
-            self.latencies_us
-                .push((now - request.arrived).as_micros_f64());
-            self.conns[request.conn as usize].completed += 1;
-            self.completed += 1;
-            if let Some(obs) = self.obs.as_mut() {
-                obs.count_completion(self.obs_lane, now);
-            }
-        }
-        let mut dispatched = std::mem::take(&mut self.dispatch_buf);
-        self.pool
-            .finish_batch(due.iter().map(|_| 0), &mut dispatched);
-        due.clear();
-        self.drain_buf = due;
-        for (_, _, next) in dispatched.drain(..) {
-            self.schedule_completion(sim, next);
-        }
-        self.dispatch_buf = dispatched;
-    }
-
-    fn into_point(self, fraction: f64, offered_per_sec: f64, end: Nanos) -> LoadPoint {
-        let issued: u64 = self.conns.iter().map(|c| c.issued).sum();
-        debug_assert_eq!(issued, self.completed + self.dropped);
-        debug_assert_eq!(self.pool.counters(0).dropped, self.dropped);
-        let cdf = Cdf::from_samples(self.latencies_us)
-            .expect("a sweep point always completes at least one request");
-        let duration = end.as_secs_f64().max(f64::MIN_POSITIVE);
-        LoadPoint {
-            offered_fraction: fraction,
-            offered_per_sec,
-            achieved_per_sec: self.completed as f64 / duration,
-            p50_us: cdf.percentile(50.0),
-            p95_us: cdf.percentile(95.0),
-            p99_us: cdf.percentile(99.0),
-            mean_us: cdf.mean(),
-            completed: self.completed,
-            dropped: self.dropped,
-            peak_in_flight: self.peak_in_flight,
-            mean_in_flight: self.in_flight_probe.mean(),
-        }
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -643,38 +367,6 @@ mod tests {
     }
 
     #[test]
-    fn per_connection_accounting_balances() {
-        let bench = tiny(LoadBackend::Mysql);
-        let platform = PlatformId::Qemu.build();
-        let profile = bench.service_profile(&platform).unwrap();
-        let offered = profile.capacity_per_sec() * 0.8;
-        let mut rng = SimRng::seed_from(84);
-        let arrival = rng.split("arrivals");
-        let service = rng.split("service");
-        let mut sim: Simulation<LoadSim> = Simulation::new();
-        let mut state = LoadSim::new(
-            &bench,
-            &profile,
-            offered,
-            arrival,
-            service,
-            rng.split("m"),
-            None,
-        );
-        sim.schedule_at(Nanos::ZERO, |sim, st: &mut LoadSim| st.generate(sim));
-        sim.run(&mut state);
-        let issued: u64 = state.conns.iter().map(|c| c.issued).sum();
-        let completed: u64 = state.conns.iter().map(|c| c.completed).sum();
-        let dropped: u64 = state.conns.iter().map(|c| c.dropped).sum();
-        assert_eq!(issued, bench.requests_per_point as u64);
-        assert_eq!(issued, completed + dropped);
-        assert!(
-            state.conns.iter().filter(|c| c.issued > 0).count() > bench.clients / 2,
-            "arrivals must spread over the connection population"
-        );
-    }
-
-    #[test]
     fn trials_are_deterministic_per_seed() {
         let bench = tiny(LoadBackend::Memcached);
         let platform = PlatformId::Firecracker.build();
@@ -733,21 +425,23 @@ mod tests {
         use simcore::obs::ObsConfig;
         let bench = tiny(LoadBackend::Memcached);
         let platform = PlatformId::Docker.build();
-        let plain = bench
-            .run_point(&platform, 0.8, &mut SimRng::seed_from(90))
+        let (plain, none) = bench
+            .run_point(&platform, 0.8, &mut SimRng::seed_from(90), None)
             .unwrap();
+        assert!(none.is_none());
         let recorder = Recorder::try_new(ObsConfig::new(7, 0.25)).unwrap();
         let (traced, recorder) = bench
-            .run_point_traced(&platform, 0.8, &mut SimRng::seed_from(90), recorder)
+            .run_point(&platform, 0.8, &mut SimRng::seed_from(90), Some(recorder))
             .unwrap();
+        let recorder = recorder.expect("the recorder threads through the run");
         assert_eq!(plain, traced, "the recorder must not perturb the run");
         assert!(recorder.spans_accepted() > 0);
         assert!(recorder.timeline_json("load", 90).contains("\"core\""));
         let zero = Recorder::try_new(ObsConfig::new(7, 0.0)).unwrap();
         let (_, zero) = bench
-            .run_point_traced(&platform, 0.8, &mut SimRng::seed_from(90), zero)
+            .run_point(&platform, 0.8, &mut SimRng::seed_from(90), Some(zero))
             .unwrap();
-        assert_eq!(zero.spans_accepted(), 0, "rate 0 records nothing");
+        assert_eq!(zero.unwrap().spans_accepted(), 0, "rate 0 records nothing");
     }
 
     #[test]
@@ -761,5 +455,17 @@ mod tests {
         assert!(bench
             .run_trial(&platform, &mut SimRng::seed_from(88))
             .is_err());
+    }
+
+    #[test]
+    fn a_point_with_no_requests_is_a_loud_configuration_error() {
+        let bench = LoadgenBenchmark {
+            requests_per_point: 0,
+            ..tiny(LoadBackend::Memcached)
+        };
+        let err = bench
+            .run_trial(&PlatformId::Native.build(), &mut SimRng::seed_from(89))
+            .unwrap_err();
+        assert!(matches!(err, SimError::InvalidConfig(_)), "{err:?}");
     }
 }

@@ -7,16 +7,16 @@
 //! **out**, may consult a cache (session store hit vs miss), and may
 //! short-circuit the request entirely (an auth rejection or redirect
 //! never reaches the backend). This module models exactly that: a
-//! [`MiddlewareChain`] of [`Stage`]s executed per request on the same
-//! [`crate::slots`] admission/slot core the open-loop [`crate::loadgen`]
-//! sweeps use, so stage costs compose with bounded admission, service
-//! slots and platform derating unchanged.
+//! [`MiddlewareChain`] of [`Stage`]s, carried as data by the one request
+//! class of the crate's open-loop request engine — the engine the
+//! [`crate::loadgen`] sweeps run on — so stage costs compose with bounded
+//! admission, service slots and platform derating unchanged.
 //!
 //! The request lifecycle: a Poisson arrival is admitted (or dropped) by
-//! the bounded queue exactly as in `loadgen`; on dispatch the chain is
-//! traversed — every stage charges its in-phase cost, a cached stage
-//! charges its hit or miss latency against a warmable hit rate, and a
-//! stage may short-circuit, in which case the backend service time is
+//! the bounded queue exactly as in `loadgen`; on dispatch the engine
+//! traverses the chain — every stage charges its in-phase cost, a cached
+//! stage charges its hit or miss latency against a warmable hit rate, and
+//! a stage may short-circuit, in which case the backend service time is
 //! skipped and only the out-phases of the stages already entered run on
 //! the response path. The slot is occupied for the full composed time,
 //! so middleware cost feeds back into queueing exactly like backend cost.
@@ -27,33 +27,24 @@
 //! arrival/service streams reuse the `loadgen` labels. Two consequences
 //! the test battery pins down: sweep points are coupled by common random
 //! numbers (monotone curves by coupling, not just in expectation), and a
-//! zero-stage chain replays the plain [`crate::loadgen`] path **bit for
-//! bit** — the degenerate-chain regression contract.
+//! zero-stage chain replays the plain [`crate::loadgen`] sweep **bit for
+//! bit**.
 
 use platforms::Platform;
 use simcore::error::SimError;
-use simcore::obs::{Recorder, SpanKind};
-use simcore::resource::CompletionTimer;
-use simcore::stats::{Cdf, RunningStats};
-use simcore::{Nanos, SimRng, Simulation};
+use simcore::obs::Recorder;
+use simcore::stats::Cdf;
+use simcore::{Nanos, SimRng};
 
-use crate::loadgen::{ARRIVAL_CHUNK, MISC_STREAM};
-use crate::slots::{backend_profile, Admission, BackendState, ClassConfig, SlotPolicy, SlotPool};
+use crate::engine::{self, Arrivals, Class, Pool};
+use crate::loadgen::MISC_STREAM;
+use crate::slots::{backend_profile, validated_fraction, SlotPolicy};
 pub use crate::slots::{LoadBackend, ServiceProfile};
 
 /// Label of the middleware-stage stream, split from the cell stream only
 /// when some sweep point has a non-empty chain — a zero-depth sweep must
 /// consume the cell stream exactly like [`crate::loadgen`] does.
 const STAGE_STREAM: &str = "stages";
-
-fn validated_us(what: &str, us: f64) -> Result<Nanos, SimError> {
-    if !us.is_finite() || us < 0.0 {
-        return Err(SimError::InvalidConfig(format!(
-            "{what} must be finite and non-negative, got {us}"
-        )));
-    }
-    Ok(Nanos::from_micros_f64(us))
-}
 
 fn validated_sigma(what: &str, sigma: f64) -> Result<f64, SimError> {
     if !sigma.is_finite() || sigma < 0.0 {
@@ -64,13 +55,8 @@ fn validated_sigma(what: &str, sigma: f64) -> Result<f64, SimError> {
     Ok(sigma)
 }
 
-fn validated_rate(what: &str, rate: f64) -> Result<f64, SimError> {
-    if !rate.is_finite() || !(0.0..=1.0).contains(&rate) {
-        return Err(SimError::InvalidConfig(format!(
-            "{what} must be a probability in [0, 1], got {rate}"
-        )));
-    }
-    Ok(rate)
+fn validated_us(what: &str, us: f64) -> Result<Nanos, SimError> {
+    validated_sigma(what, us).map(Nanos::from_micros_f64)
 }
 
 /// One phase cost: a mean latency plus the log-normal sigma of the
@@ -179,7 +165,7 @@ impl Stage {
     /// Returns [`SimError::InvalidConfig`] unless `rate` is a probability
     /// in `[0, 1]`.
     pub fn with_short_circuit(mut self, rate: f64) -> Result<Self, SimError> {
-        self.short_circuit = validated_rate("stage short-circuit rate", rate)?;
+        self.short_circuit = validated_fraction("stage short-circuit rate", rate)?;
         Ok(self)
     }
 
@@ -203,7 +189,7 @@ impl Stage {
         self.cache = Some(StageCache {
             hit_cost: validated_us("cache hit cost", hit_us)?,
             miss_cost: validated_us("cache miss cost", miss_us)?,
-            hit_rate: validated_rate("cache hit rate", hit_rate)?,
+            hit_rate: validated_fraction("cache hit rate", hit_rate)?,
             warm_after,
             accesses: 0,
         });
@@ -282,11 +268,6 @@ impl MiddlewareChain {
     /// Number of stages in the chain.
     pub fn depth(&self) -> usize {
         self.stages.len()
-    }
-
-    /// Whether the chain has no stages.
-    pub fn is_empty(&self) -> bool {
-        self.stages.is_empty()
     }
 
     /// Mean per-request chain cost at the caches' warm target hit rates,
@@ -384,6 +365,16 @@ impl MiddlewareChain {
             cache_misses: misses,
         }
     }
+
+    /// Registers one trace lane per stage, `s<i>:<name>` in chain order,
+    /// so repeated stage kinds stay distinguishable.
+    pub(crate) fn stage_lanes(&self, obs: &mut Recorder) -> Vec<u32> {
+        self.stages
+            .iter()
+            .enumerate()
+            .map(|(i, s)| obs.lane(&format!("s{i}:{}", s.name)))
+            .collect()
+    }
 }
 
 /// One point of the pipeline sweep: a chain depth, the auth cache's
@@ -405,11 +396,7 @@ impl PipelineSetting {
     /// A point whose offered load is provisioned against the actual hit
     /// rate (the normal case).
     pub fn new(depth: usize, hit_rate: f64) -> Self {
-        PipelineSetting {
-            depth,
-            hit_rate,
-            planned_hit_rate: hit_rate,
-        }
+        PipelineSetting::storm(depth, hit_rate, hit_rate)
     }
 
     /// A cache-miss-storm point: the chain runs at `hit_rate` but the
@@ -429,6 +416,22 @@ impl PipelineSetting {
         } else {
             format!("d{} h{:.2}", self.depth, self.hit_rate)
         }
+    }
+    /// The default sweep: chain depth 1–8 at the baseline hit rate, an
+    /// auth-cache hit-rate sweep at depth 4, and the cache-miss-storm
+    /// point (cold cache, traffic provisioned for the warm one).
+    pub fn default_sweep() -> Vec<PipelineSetting> {
+        vec![
+            PipelineSetting::new(1, BASELINE_HIT_RATE),
+            PipelineSetting::new(2, BASELINE_HIT_RATE),
+            PipelineSetting::new(4, BASELINE_HIT_RATE),
+            PipelineSetting::new(6, BASELINE_HIT_RATE),
+            PipelineSetting::new(8, BASELINE_HIT_RATE),
+            PipelineSetting::new(4, 1.0),
+            PipelineSetting::new(4, 0.75),
+            PipelineSetting::new(4, 0.5),
+            PipelineSetting::storm(4, 0.0, BASELINE_HIT_RATE),
+        ]
     }
 }
 
@@ -591,7 +594,8 @@ impl PipelineBenchmark {
     ///
     /// Propagates the degenerate-profile error of
     /// [`PipelineBenchmark::service_profile`] and the degenerate-chain
-    /// error of [`PipelineBenchmark::chain_for`].
+    /// error of [`PipelineBenchmark::chain_for`], and rejects a
+    /// configuration with no requests per point.
     pub fn run_trial(
         &self,
         platform: &Platform,
@@ -605,15 +609,15 @@ impl PipelineBenchmark {
         // The stage stream only exists when some point has a non-empty
         // chain: splitting advances the parent stream, and a zero-depth
         // sweep must consume the cell stream exactly like `loadgen`.
-        let stage_root = if self.sweep.iter().any(|s| s.depth > 0) {
-            Some(rng.split(STAGE_STREAM))
-        } else {
-            None
-        };
+        let stage_root = self
+            .sweep
+            .iter()
+            .any(|s| s.depth > 0)
+            .then(|| rng.split(STAGE_STREAM));
         self.sweep
             .iter()
             .map(|setting| {
-                self.run_setting(
+                self.run_with_streams(
                     &profile,
                     setting,
                     arrival.clone(),
@@ -627,11 +631,43 @@ impl PipelineBenchmark {
             .collect()
     }
 
+    /// Runs one sweep setting, with an optional trace [`Recorder`]
+    /// attached.
+    ///
+    /// The recorder comes back loaded with the admission and per-stage
+    /// span timeline of the sampled requests, the windowed pool/stage
+    /// time-series, and the event-core counter profile. Tracing is
+    /// observation only — the recorder consumes no random draws, so the
+    /// point equals the same setting inside an untraced
+    /// [`PipelineBenchmark::run_trial`] of the same streams.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the degenerate-profile and degenerate-chain errors of
+    /// [`PipelineBenchmark::service_profile`] and
+    /// [`PipelineBenchmark::chain_for`], and rejects a configuration with
+    /// no requests per point.
+    pub fn run_setting(
+        &self,
+        platform: &Platform,
+        setting: &PipelineSetting,
+        rng: &mut SimRng,
+        recorder: Option<Recorder>,
+    ) -> Result<(PipelinePoint, Option<Recorder>), SimError> {
+        let profile = self.service_profile(platform)?;
+        let arrival = rng.split("arrivals");
+        let service = rng.split("service");
+        let stage_root = (setting.depth > 0).then(|| rng.split(STAGE_STREAM));
+        self.run_with_streams(
+            &profile, setting, arrival, service, stage_root, rng, recorder,
+        )
+    }
+
     /// Runs one sweep point. `misc_rng` is the cell stream the
     /// timing-irrelevant draws are split from, one split per point — the
     /// same discipline as the `loadgen` sweep.
     #[allow(clippy::too_many_arguments)]
-    fn run_setting(
+    fn run_with_streams(
         &self,
         profile: &ServiceProfile,
         setting: &PipelineSetting,
@@ -657,98 +693,61 @@ impl PipelineBenchmark {
                 .collect(),
             None => Vec::new(),
         };
-        let mut sim: Simulation<PipelineSim> = Simulation::new();
-        let mut state = PipelineSim::new(
-            self,
-            profile,
+        let class = Class {
+            lane: "pool".into(),
+            arrivals: Arrivals::counted(arrival_rng, self.requests_per_point, offered_per_sec),
+            profile: *profile,
+            service_rng,
             chain,
             stage_rngs,
-            offered_per_sec,
-            arrival_rng,
-            service_rng,
-            misc_rng.split(MISC_STREAM),
-            obs,
-        );
-        // Kick off the batched Poisson arrival source.
-        sim.schedule_at(Nanos::ZERO, |sim, st: &mut PipelineSim| st.generate(sim));
-        // Probe the in-flight population at a fixed cadence across the
-        // expected arrival window, exactly like the loadgen sweep.
-        let probes = 64;
-        let window =
-            Nanos::from_secs_f64(self.requests_per_point as f64 / offered_per_sec.max(1.0));
-        let period = window / probes;
-        sim.schedule_periodic(period, period, probes, |_, st: &mut PipelineSim| {
-            st.in_flight_probe.record(st.pool.in_flight() as f64);
-        });
-        sim.run(&mut state);
-        if let Some(obs) = state.obs.as_mut() {
-            // The wheel profile of one sweep point: the simulation's own
-            // queue plus the batched completion timer's.
-            obs.set_core_counters(sim.counters().merged(state.completions.counters()));
-        }
-        let obs = state.obs.take();
-        Ok((state.into_point(setting, offered_per_sec, sim.now()), obs))
-    }
-
-    /// Runs one sweep setting with a trace [`Recorder`] attached and
-    /// returns it alongside the measurement, loaded with the admission
-    /// and per-stage span timeline of the sampled requests, the windowed
-    /// pool/stage time-series, and the event-core counter profile.
-    ///
-    /// Tracing is observation only — the recorder consumes no random
-    /// draws, so the returned [`PipelinePoint`] is bit-identical to the
-    /// same setting inside an untraced [`PipelineBenchmark::run_trial`]
-    /// of the same streams.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the degenerate-profile and degenerate-chain errors of
-    /// [`PipelineBenchmark::service_profile`] and
-    /// [`PipelineBenchmark::chain_for`].
-    pub fn run_setting_traced(
-        &self,
-        platform: &Platform,
-        setting: &PipelineSetting,
-        rng: &mut SimRng,
-        recorder: Recorder,
-    ) -> Result<(PipelinePoint, Recorder), SimError> {
-        let profile = self.service_profile(platform)?;
-        let arrival = rng.split("arrivals");
-        let service = rng.split("service");
-        let stage_root = if setting.depth > 0 {
-            Some(rng.split(STAGE_STREAM))
-        } else {
-            None
+            backend: self.backend,
+            clients: self.clients,
+            weight: 1,
+            queue_capacity: self.queue_capacity,
         };
-        let (point, obs) = self.run_setting(
-            &profile,
-            setting,
-            arrival,
-            service,
-            stage_root,
-            rng,
-            Some(recorder),
-        )?;
-        Ok((point, obs.expect("the recorder threads through the run")))
-    }
-}
-
-impl PipelineSetting {
-    /// The default sweep: chain depth 1–8 at the baseline hit rate, an
-    /// auth-cache hit-rate sweep at depth 4, and the cache-miss-storm
-    /// point (cold cache, traffic provisioned for the warm one).
-    pub fn default_sweep() -> Vec<PipelineSetting> {
-        vec![
-            PipelineSetting::new(1, BASELINE_HIT_RATE),
-            PipelineSetting::new(2, BASELINE_HIT_RATE),
-            PipelineSetting::new(4, BASELINE_HIT_RATE),
-            PipelineSetting::new(6, BASELINE_HIT_RATE),
-            PipelineSetting::new(8, BASELINE_HIT_RATE),
-            PipelineSetting::new(4, 1.0),
-            PipelineSetting::new(4, 0.75),
-            PipelineSetting::new(4, 0.5),
-            PipelineSetting::storm(4, 0.0, BASELINE_HIT_RATE),
-        ]
+        let pool = Pool {
+            servers: profile.servers,
+            policy: SlotPolicy::FifoArrival,
+            op_sample_every: self.op_sample_every,
+            probes: true,
+        };
+        let mut run = engine::run(&pool, vec![class], misc_rng.split(MISC_STREAM), obs)?;
+        let class = run.classes.remove(0);
+        let l = class.ledger;
+        let responded = l.completed + l.short_circuited;
+        let cdf = Cdf::from_samples(class.sojourns_us)
+            .expect("a validated sweep point responds to at least one request");
+        let duration = run.end.as_secs_f64().max(f64::MIN_POSITIVE);
+        let denom = responded.max(1) as f64;
+        let accesses = (class.cache_hits + class.cache_misses).max(1) as f64;
+        let point = PipelinePoint {
+            label: setting.label(),
+            depth: setting.depth,
+            hit_rate: setting.hit_rate,
+            planned_hit_rate: setting.planned_hit_rate,
+            offered_per_sec,
+            achieved_per_sec: l.completed as f64 / duration,
+            p50_us: cdf.percentile(50.0),
+            p95_us: cdf.percentile(95.0),
+            p99_us: cdf.percentile(99.0),
+            mean_us: cdf.mean(),
+            stage_tax_us: class.stage_cost_ns as f64 / denom / 1e3,
+            mean_depth: class.stages_entered as f64 / denom,
+            short_circuit_fraction: l.short_circuited as f64 / denom,
+            cache_hit_fraction: class.cache_hits as f64 / accesses,
+            completed: l.completed,
+            short_circuited: l.short_circuited,
+            dropped: l.dropped,
+            drop_fraction: l.dropped as f64 / l.issued.max(1) as f64,
+            peak_in_flight: run.peak_in_flight,
+            mean_in_flight: run.mean_in_flight,
+            min_slack_us: if class.min_slack_ns == i128::MAX {
+                0.0
+            } else {
+                class.min_slack_ns as f64 / 1e3
+            },
+        };
+        Ok((point, run.obs))
     }
 }
 
@@ -804,405 +803,12 @@ pub struct PipelinePoint {
     pub min_slack_us: f64,
 }
 
-/// Per-connection accounting of the open-loop client population.
-#[derive(Debug, Default, Clone, Copy)]
-struct ConnState {
-    issued: u64,
-    completed: u64,
-    dropped: u64,
-}
-
-/// A request waiting in the admission queue or in service.
-#[derive(Debug, Clone, Copy)]
-struct Request {
-    /// Deterministic arrival index, the identity trace sampling keys on.
-    id: u64,
-    arrived: Nanos,
-    conn: u32,
-    stage_cost: Nanos,
-    cut: bool,
-}
-
-/// The discrete-event state of one pipeline sweep point — the `loadgen`
-/// event loop with the middleware chain spliced into dispatch.
-struct PipelineSim {
-    arrival_rng: SimRng,
-    service_rng: SimRng,
-    misc_rng: SimRng,
-    stage_rngs: Vec<SimRng>,
-    profile: ServiceProfile,
-    chain: MiddlewareChain,
-    pool: SlotPool<Request>,
-    offered_per_sec: f64,
-    remaining_arrivals: u64,
-    conns: Vec<ConnState>,
-    latencies_us: Vec<f64>,
-    completed: u64,
-    short_circuited: u64,
-    dropped: u64,
-    peak_in_flight: usize,
-    backend: BackendState,
-    op_sample_every: u64,
-    admitted: u64,
-    in_flight_probe: RunningStats,
-    stage_cost_ns_sum: u128,
-    depth_sum: u64,
-    cache_hits: u64,
-    cache_misses: u64,
-    min_slack_ns: i128,
-    completions: CompletionTimer<Request>,
-    drain_buf: Vec<(Nanos, Request)>,
-    dispatch_buf: Vec<(usize, Nanos, Request)>,
-    /// Arrival indices double as trace-sampling identities.
-    next_request: u64,
-    /// `None` is the zero-cost untraced path.
-    obs: Option<Recorder>,
-    obs_pool_lane: u32,
-    obs_stage_lanes: Vec<u32>,
-    visit_buf: Vec<StageVisit>,
-}
-
-impl PipelineSim {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        bench: &PipelineBenchmark,
-        profile: &ServiceProfile,
-        chain: MiddlewareChain,
-        stage_rngs: Vec<SimRng>,
-        offered_per_sec: f64,
-        arrival_rng: SimRng,
-        service_rng: SimRng,
-        misc_rng: SimRng,
-        mut obs: Option<Recorder>,
-    ) -> Self {
-        // Lane 0 is the admission/slot pool; each stage gets its own
-        // lane, indexed so repeated stage kinds stay distinguishable.
-        let obs_pool_lane = obs.as_mut().map_or(0, |o| o.lane("pool"));
-        let obs_stage_lanes = match obs.as_mut() {
-            Some(o) => chain
-                .stages
-                .iter()
-                .enumerate()
-                .map(|(i, s)| o.lane(&format!("s{i}:{}", s.name)))
-                .collect(),
-            None => Vec::new(),
-        };
-        let pool = SlotPool::new(
-            profile.servers,
-            SlotPolicy::FifoArrival,
-            vec![ClassConfig {
-                weight: 1,
-                queue_capacity: bench.queue_capacity,
-                mean_cost: profile.service_time + chain.expected_cost(),
-            }],
-        )
-        .expect("a validated service profile yields a valid single-class pool");
-        PipelineSim {
-            arrival_rng,
-            service_rng,
-            misc_rng,
-            stage_rngs,
-            profile: *profile,
-            chain,
-            pool,
-            offered_per_sec: offered_per_sec.max(1.0),
-            remaining_arrivals: bench.requests_per_point as u64,
-            conns: vec![ConnState::default(); bench.clients.max(1)],
-            latencies_us: Vec::with_capacity(bench.requests_per_point),
-            completed: 0,
-            short_circuited: 0,
-            dropped: 0,
-            peak_in_flight: 0,
-            backend: BackendState::build(bench.backend),
-            op_sample_every: bench.op_sample_every.max(1),
-            admitted: 0,
-            in_flight_probe: RunningStats::new(),
-            stage_cost_ns_sum: 0,
-            depth_sum: 0,
-            cache_hits: 0,
-            cache_misses: 0,
-            min_slack_ns: i128::MAX,
-            completions: CompletionTimer::new(),
-            drain_buf: Vec::new(),
-            dispatch_buf: Vec::new(),
-            next_request: 0,
-            obs,
-            obs_pool_lane,
-            obs_stage_lanes,
-            visit_buf: Vec::new(),
-        }
-    }
-
-    /// Samples the next chunk of Poisson interarrival gaps and enqueues
-    /// one arrival event per gap; reschedules itself after the chunk's
-    /// last arrival while arrivals remain. Identical to the `loadgen`
-    /// source, chunk size included — the zero-stage chain must replay its
-    /// event schedule bit for bit.
-    fn generate(&mut self, sim: &mut Simulation<PipelineSim>) {
-        let n = self.remaining_arrivals.min(ARRIVAL_CHUNK);
-        if n == 0 {
-            return;
-        }
-        self.remaining_arrivals -= n;
-        let mut offset = Nanos::ZERO;
-        let mut batch = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            offset +=
-                Nanos::from_secs_f64(self.arrival_rng.exponential(1.0) / self.offered_per_sec);
-            batch.push((
-                offset,
-                |sim: &mut Simulation<PipelineSim>, st: &mut PipelineSim| st.arrive(sim),
-            ));
-        }
-        sim.schedule_batch(batch);
-        if self.remaining_arrivals > 0 {
-            sim.schedule_in(offset, |sim, st: &mut PipelineSim| st.generate(sim));
-        }
-    }
-
-    /// One open-loop arrival: attribute it to a connection, run the
-    /// sampled real-backend operation, then admit, enqueue or drop.
-    fn arrive(&mut self, sim: &mut Simulation<PipelineSim>) {
-        let conn = self.misc_rng.index(self.conns.len()) as u32;
-        self.conns[conn as usize].issued += 1;
-        let request = Request {
-            id: self.next_request,
-            arrived: sim.now(),
-            conn,
-            stage_cost: Nanos::ZERO,
-            cut: false,
-        };
-        self.next_request += 1;
-        if let Some(obs) = self.obs.as_mut() {
-            obs.count_arrival(self.obs_pool_lane, request.arrived);
-        }
-        match self.pool.offer(0, request.arrived, request) {
-            Admission::Dispatched => {
-                self.admit();
-                self.schedule_completion(sim, request);
-            }
-            Admission::Queued => self.admit(),
-            Admission::Dropped => {
-                self.conns[conn as usize].dropped += 1;
-                self.dropped += 1;
-                if let Some(obs) = self.obs.as_mut() {
-                    obs.count_drop(self.obs_pool_lane, request.arrived);
-                }
-            }
-        }
-        self.peak_in_flight = self.peak_in_flight.max(self.pool.in_flight());
-        if let Some(obs) = self.obs.as_mut() {
-            obs.gauge(
-                self.obs_pool_lane,
-                request.arrived,
-                self.pool.queued_total(),
-                self.pool.busy(),
-            );
-        }
-    }
-
-    fn admit(&mut self) {
-        self.admitted += 1;
-        if self.admitted % self.op_sample_every == 0 {
-            self.backend.execute(&mut self.misc_rng);
-        }
-    }
-
-    /// Dispatch: traverse the chain, compose the slot occupancy (chain
-    /// cost plus backend service unless short-circuited), and register
-    /// the completion with the batched timer.
-    ///
-    /// The backend service time is sampled unconditionally — even for
-    /// requests a stage short-circuits — so the `service` stream stays
-    /// aligned with the `loadgen` path request for request.
-    fn schedule_completion(&mut self, sim: &mut Simulation<PipelineSim>, mut request: Request) {
-        let backend = self.profile.sample_service_time(&mut self.service_rng);
-        let t = match self.obs.is_some() {
-            // Traced run: collect the per-stage detail. `traverse`
-            // delegates to `traverse_with`, so the draw order is the
-            // same on both arms by construction.
-            true => {
-                let (chain, rngs, buf) =
-                    (&mut self.chain, &mut self.stage_rngs, &mut self.visit_buf);
-                buf.clear();
-                chain.traverse_with(rngs, |v| buf.push(v))
-            }
-            false => self.chain.traverse(&mut self.stage_rngs),
-        };
-        if self.obs.is_some() {
-            self.record_dispatch(sim.now(), &request, backend, t.short_circuit.is_some());
-        }
-        self.stage_cost_ns_sum += u128::from(t.stage_cost.as_nanos());
-        self.depth_sum += t.stages_traversed as u64;
-        self.cache_hits += u64::from(t.cache_hits);
-        self.cache_misses += u64::from(t.cache_misses);
-        request.stage_cost = t.stage_cost;
-        request.cut = t.short_circuit.is_some();
-        let service = if request.cut {
-            t.stage_cost
-        } else {
-            t.stage_cost + backend
-        };
-        let service = service.max(Nanos::from_nanos(1));
-        if let Some(wake) = self.completions.schedule(sim.now() + service, request) {
-            sim.schedule_at(wake, |sim, st: &mut PipelineSim| st.drain_completions(sim));
-        }
-    }
-
-    /// Folds one dispatch into the recorder: per-stage cache counts for
-    /// every request, and — for sampled requests — the span timeline the
-    /// slot occupancy decomposes into: admission wait, the in-phases in
-    /// chain order (cache access charged inside), the backend slot
-    /// service unless short-circuited, then the out-phases in reverse
-    /// order. The spans tile `[arrived, dispatch + service]` exactly.
-    fn record_dispatch(&mut self, now: Nanos, request: &Request, backend: Nanos, cut: bool) {
-        let visits = std::mem::take(&mut self.visit_buf);
-        if let Some(obs) = self.obs.as_mut() {
-            for v in &visits {
-                if let Some(hit) = v.cache_hit {
-                    obs.count_cache(self.obs_stage_lanes[v.stage], now, hit);
-                }
-            }
-            if obs.sampled(request.id) {
-                obs.span(
-                    SpanKind::AdmissionWait,
-                    request.id,
-                    self.obs_pool_lane,
-                    request.arrived,
-                    now,
-                );
-                let mut cursor = now;
-                for v in &visits {
-                    let lane = self.obs_stage_lanes[v.stage];
-                    let in_end = cursor + v.in_cost + v.cache_cost;
-                    obs.span(SpanKind::StageIn, request.id, lane, cursor, in_end);
-                    if let Some(hit) = v.cache_hit {
-                        let kind = if hit {
-                            SpanKind::CacheHit
-                        } else {
-                            SpanKind::CacheMiss
-                        };
-                        obs.instant(kind, request.id, lane, cursor + v.in_cost);
-                    }
-                    if v.short_circuited {
-                        obs.instant(SpanKind::ShortCircuit, request.id, lane, in_end);
-                    }
-                    cursor = in_end;
-                }
-                if !cut {
-                    obs.span(
-                        SpanKind::SlotService,
-                        request.id,
-                        self.obs_pool_lane,
-                        cursor,
-                        cursor + backend,
-                    );
-                    cursor += backend;
-                }
-                for v in visits.iter().rev() {
-                    if v.out_cost > Nanos::ZERO {
-                        let lane = self.obs_stage_lanes[v.stage];
-                        obs.span(
-                            SpanKind::StageOut,
-                            request.id,
-                            lane,
-                            cursor,
-                            cursor + v.out_cost,
-                        );
-                        cursor += v.out_cost;
-                    }
-                }
-            }
-        }
-        self.visit_buf = visits;
-    }
-
-    /// One completion wake: drains every completion due in this wheel
-    /// slot, records sojourn times and the middleware-cost slack, folds
-    /// the batch into the pool, and dispatches the pulled queue heads.
-    fn drain_completions(&mut self, sim: &mut Simulation<PipelineSim>) {
-        let now = sim.now();
-        let mut due = std::mem::take(&mut self.drain_buf);
-        if let Some(wake) = self.completions.wake(now, &mut due) {
-            sim.schedule_at(wake, |sim, st: &mut PipelineSim| st.drain_completions(sim));
-        }
-        for &(at, request) in &due {
-            debug_assert_eq!(at, now, "completions drain exactly at their tick");
-            let sojourn = now - request.arrived;
-            self.latencies_us.push(sojourn.as_micros_f64());
-            let slack = i128::from(sojourn.as_nanos()) - i128::from(request.stage_cost.as_nanos());
-            self.min_slack_ns = self.min_slack_ns.min(slack);
-            self.conns[request.conn as usize].completed += 1;
-            if request.cut {
-                self.short_circuited += 1;
-            } else {
-                self.completed += 1;
-            }
-            if let Some(obs) = self.obs.as_mut() {
-                obs.count_completion(self.obs_pool_lane, now);
-            }
-        }
-        let mut dispatched = std::mem::take(&mut self.dispatch_buf);
-        self.pool
-            .finish_batch(due.iter().map(|_| 0), &mut dispatched);
-        due.clear();
-        self.drain_buf = due;
-        for (_, _, next) in dispatched.drain(..) {
-            self.schedule_completion(sim, next);
-        }
-        self.dispatch_buf = dispatched;
-    }
-
-    fn into_point(
-        self,
-        setting: &PipelineSetting,
-        offered_per_sec: f64,
-        end: Nanos,
-    ) -> PipelinePoint {
-        let issued: u64 = self.conns.iter().map(|c| c.issued).sum();
-        let responded = self.completed + self.short_circuited;
-        debug_assert_eq!(issued, responded + self.dropped);
-        debug_assert_eq!(self.pool.counters(0).dropped, self.dropped);
-        let cdf = Cdf::from_samples(self.latencies_us)
-            .expect("a sweep point always completes at least one request");
-        let duration = end.as_secs_f64().max(f64::MIN_POSITIVE);
-        let denom = responded.max(1) as f64;
-        let accesses = (self.cache_hits + self.cache_misses).max(1) as f64;
-        PipelinePoint {
-            label: setting.label(),
-            depth: setting.depth,
-            hit_rate: setting.hit_rate,
-            planned_hit_rate: setting.planned_hit_rate,
-            offered_per_sec,
-            achieved_per_sec: self.completed as f64 / duration,
-            p50_us: cdf.percentile(50.0),
-            p95_us: cdf.percentile(95.0),
-            p99_us: cdf.percentile(99.0),
-            mean_us: cdf.mean(),
-            stage_tax_us: self.stage_cost_ns_sum as f64 / denom / 1e3,
-            mean_depth: self.depth_sum as f64 / denom,
-            short_circuit_fraction: self.short_circuited as f64 / denom,
-            cache_hit_fraction: self.cache_hits as f64 / accesses,
-            completed: self.completed,
-            short_circuited: self.short_circuited,
-            dropped: self.dropped,
-            drop_fraction: self.dropped as f64 / issued.max(1) as f64,
-            peak_in_flight: self.peak_in_flight,
-            mean_in_flight: self.in_flight_probe.mean(),
-            min_slack_us: if self.min_slack_ns == i128::MAX {
-                0.0
-            } else {
-                self.min_slack_ns as f64 / 1e3
-            },
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::loadgen::LoadgenBenchmark;
     use platforms::PlatformId;
+    use simcore::obs::SpanKind;
 
     fn tiny(backend: LoadBackend) -> PipelineBenchmark {
         PipelineBenchmark {
@@ -1433,8 +1039,14 @@ mod tests {
             .unwrap()[0];
         let recorder = Recorder::try_new(ObsConfig::new(5, 1.0)).unwrap();
         let (traced, recorder) = bench
-            .run_setting_traced(&platform, &setting, &mut SimRng::seed_from(101), recorder)
+            .run_setting(
+                &platform,
+                &setting,
+                &mut SimRng::seed_from(101),
+                Some(recorder),
+            )
             .unwrap();
+        let recorder = recorder.expect("the recorder threads through the run");
         assert_eq!(*plain, traced, "the recorder must not perturb the run");
         let spans = recorder.spans();
         let has = |k: SpanKind| spans.iter().any(|s| s.kind == k);
@@ -1481,6 +1093,18 @@ mod tests {
         assert!(empty_pool
             .run_trial(&PlatformId::Native.build(), &mut SimRng::seed_from(99))
             .is_err());
+    }
+
+    #[test]
+    fn a_point_with_no_requests_is_a_loud_configuration_error() {
+        let bench = PipelineBenchmark {
+            requests_per_point: 0,
+            ..tiny(LoadBackend::Memcached)
+        };
+        let err = bench
+            .run_trial(&PlatformId::Native.build(), &mut SimRng::seed_from(102))
+            .unwrap_err();
+        assert!(matches!(err, SimError::InvalidConfig(_)), "{err:?}");
     }
 
     #[test]

@@ -1,9 +1,10 @@
-//! The shared service-slot core of the open-loop subsystems.
+//! The service-slot core of the open-loop request engine.
 //!
-//! Both the single-population load generator ([`crate::loadgen`]) and the
-//! multi-tenant co-location subsystem ([`crate::tenancy`]) drive a
+//! The load, pipeline and tenancy sweeps are configurations of the
+//! crate's one open-loop request engine, and every run of it drives a
 //! platform's **derated service-slot pool** through bounded admission
-//! queues. This module is the one implementation both share:
+//! queues, one per request class. This module holds the pieces that pool
+//! is built from:
 //!
 //! * [`ServiceProfile`] — the derated per-slot service-time model of one
 //!   backend on one platform, with a log-normal per-request service-time
@@ -12,9 +13,10 @@
 //!   a degenerate platform profile (zero or non-finite derated service
 //!   time) returns a [`SimError`] instead of an infinite capacity.
 //! * [`SlotPool`] — a fixed pool of service slots fed by one bounded FIFO
-//!   admission queue per class (tenant), scheduled either in global
-//!   arrival order ([`SlotPolicy::FifoArrival`]) or by weighted
-//!   deficit-round-robin over the classes ([`SlotPolicy::WeightedDrr`]).
+//!   admission queue per class, scheduled either in global arrival order
+//!   ([`SlotPolicy::FifoArrival`]) or by weighted deficit-round-robin
+//!   over the classes ([`SlotPolicy::WeightedDrr`]). The cluster tier
+//!   builds one per shard.
 //! * [`BackendState`] — the sampled real-backend execution (kvstore /
 //!   relstore) that keeps the simulated load honest against the actual
 //!   data structures.
@@ -116,8 +118,8 @@ impl ServiceProfile {
 }
 
 /// The derated service profile of one backend on one platform with a slot
-/// pool of the given width — the shared cost model of `loadgen` and
-/// `tenancy`: identical per-request platform costs to the closed-loop
+/// pool of the given width — the shared cost model of every open-loop
+/// sweep: identical per-request platform costs to the closed-loop
 /// YCSB/OLTP paths, derated by the platform's parallel efficiency
 /// (Memcached) or its combined USL contention (MySQL).
 pub fn backend_profile(
@@ -158,6 +160,17 @@ pub fn backend_profile(
             ServiceProfile::try_new(per_txn.scale(servers as f64 / usl_capacity), servers)
         }
     }
+}
+
+/// `v` if it is a fraction in `[0, 1]`, else an
+/// [`SimError::InvalidConfig`] naming `what`.
+pub(crate) fn validated_fraction(what: &str, v: f64) -> Result<f64, SimError> {
+    if !v.is_finite() || !(0.0..=1.0).contains(&v) {
+        return Err(SimError::InvalidConfig(format!(
+            "{what} must be a fraction in [0, 1], got {v}"
+        )));
+    }
+    Ok(v)
 }
 
 /// How a freed service slot picks the next queued request.
@@ -230,8 +243,8 @@ struct ClassState<T> {
 }
 
 /// A pool of identical service slots fed by per-class bounded admission
-/// queues — the slot/queue core shared by `loadgen` (one class) and
-/// `tenancy` (one class per tenant).
+/// queues — one class for `loadgen` and `pipeline`, one per tenant for
+/// `tenancy`.
 ///
 /// The pool tracks occupancy and queue contents; the caller owns the
 /// clock: it schedules a completion for every dispatched request and calls
@@ -301,11 +314,6 @@ impl<T> SlotPool<T> {
                 .collect(),
             rotation: VecDeque::new(),
         })
-    }
-
-    /// Number of slots in the pool.
-    pub fn servers(&self) -> usize {
-        self.servers
     }
 
     /// Number of slots currently serving a request.
@@ -517,7 +525,6 @@ pub(crate) enum BackendState {
         db: Database,
         table: Table,
         rows: u64,
-        conflicts: u64,
     },
 }
 
@@ -572,12 +579,7 @@ impl BackendState {
                 let rows = 2_000;
                 let db = Database::new();
                 let table = db.populate_sysbench(1, rows).remove(0);
-                BackendState::Sql {
-                    db,
-                    table,
-                    rows,
-                    conflicts: 0,
-                }
+                BackendState::Sql { db, table, rows }
             }
         }
     }
@@ -592,12 +594,7 @@ impl BackendState {
                     store.set(key.as_bytes(), vec![b'y'; 100]);
                 }
             }
-            BackendState::Sql {
-                db,
-                table,
-                rows,
-                conflicts,
-            } => {
+            BackendState::Sql { db, table, rows } => {
                 let target = 1 + rng.index(*rows as usize) as u64;
                 let mut txn = db.begin();
                 let ok = txn
@@ -605,10 +602,7 @@ impl BackendState {
                     .and_then(|_| txn.update(table, target, rng.index(1_000) as u64));
                 match ok {
                     Ok(_) => txn.commit(),
-                    Err(_) => {
-                        *conflicts += 1;
-                        txn.rollback();
-                    }
+                    Err(_) => txn.rollback(),
                 }
             }
         }

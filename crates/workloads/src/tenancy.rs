@@ -7,8 +7,9 @@
 //! populations on one platform model: each [`TenantSpec`] names a backend,
 //! an arrival process (Poisson, or a bursty MMPP-style on–off source built
 //! from [`simcore::dist`] exponentials), a connection population, an
-//! offered-load fraction, a DRR weight and a p99 SLO target. Every tenant
-//! gets its own **bounded admission queue** in front of the shared derated
+//! offered-load fraction, a DRR weight and a p99 SLO target. Each tenant
+//! becomes one request class of the crate's open-loop request engine, with
+//! its own **bounded admission queue** in front of the shared derated
 //! service-slot pool, scheduled by the weighted deficit-round-robin core
 //! in [`crate::slots`] (or by unweighted global-FIFO sharing, the baseline
 //! the weighted scheduler is judged against).
@@ -34,15 +35,13 @@
 use platforms::Platform;
 use simcore::dist::Distribution;
 use simcore::error::SimError;
-use simcore::obs::{Recorder, SpanKind};
-use simcore::resource::CompletionTimer;
+use simcore::obs::Recorder;
 use simcore::stats::Cdf;
-use simcore::{Nanos, SimRng, Simulation};
+use simcore::SimRng;
 
-use crate::slots::{
-    backend_profile, Admission, BackendState, ClassConfig, LoadBackend, ServiceProfile, SlotPolicy,
-    SlotPool, StoreSnapshot,
-};
+use crate::engine::{self, Arrivals, Class, ClassOutcome, Pool};
+use crate::pipeline::MiddlewareChain;
+use crate::slots::{backend_profile, LoadBackend, ServiceProfile, SlotPolicy};
 
 /// The arrival process of one tenant.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -94,7 +93,7 @@ impl ArrivalProcess {
 /// scaled clock** — the common-random-numbers property the sweep's
 /// monotonicity relies on.
 #[derive(Debug, Clone)]
-struct ArrivalGen {
+pub(crate) struct ArrivalGen {
     process: ArrivalProcess,
     rate: f64,
     rng: SimRng,
@@ -103,7 +102,7 @@ struct ArrivalGen {
 }
 
 impl ArrivalGen {
-    fn new(process: ArrivalProcess, rate: f64, rng: SimRng) -> Self {
+    pub(crate) fn new(process: ArrivalProcess, rate: f64, rng: SimRng) -> Self {
         ArrivalGen {
             process,
             rate: rate.max(f64::MIN_POSITIVE),
@@ -113,7 +112,7 @@ impl ArrivalGen {
     }
 
     /// The next interarrival gap in seconds.
-    fn next_gap(&mut self) -> f64 {
+    pub(crate) fn next_gap(&mut self) -> f64 {
         match self.process {
             ArrivalProcess::Poisson => self.rng.exponential(1.0) / self.rate,
             ArrivalProcess::OnOff {
@@ -328,9 +327,17 @@ impl TenancyBenchmark {
     }
 
     /// Runs one co-located window over an arbitrary tenant set under
-    /// `policy` and returns one [`TenantPoint`] per tenant, in input
-    /// order. The first tenant anchors the measurement window
+    /// `policy`, with an optional trace [`Recorder`] attached, and returns
+    /// one [`TenantPoint`] per tenant, in input order. The first tenant
+    /// anchors the measurement window
     /// ([`TenancyBenchmark::victim_requests`] of its arrivals).
+    ///
+    /// With a recorder, each tenant becomes a lane carrying its
+    /// admission-wait and slot-service spans and its windowed
+    /// arrival/drop/queue-depth series, and the run's event-core counter
+    /// profile is attached. Tracing is observation only — the recorder
+    /// consumes no random draws, so the points are the same with or
+    /// without it.
     ///
     /// # Errors
     ///
@@ -342,48 +349,20 @@ impl TenancyBenchmark {
         tenants: &[TenantSpec],
         policy: SlotPolicy,
         rng: &mut SimRng,
-    ) -> Result<Vec<TenantPoint>, SimError> {
+        recorder: Option<Recorder>,
+    ) -> Result<(Vec<TenantPoint>, Option<Recorder>), SimError> {
         let streams = tenants
             .iter()
-            .map(|t| TenantStreams::derive(t, rng))
+            .map(|t| tenant_streams(t, rng))
             .collect::<Vec<_>>();
-        self.run_once(platform, tenants, policy, &streams, rng.split("misc"), None)
-            .map(|(points, _)| points)
-    }
-
-    /// [`TenancyBenchmark::run_colocated`] with a trace [`Recorder`]
-    /// attached: each tenant becomes a lane carrying its admission-wait
-    /// and slot-service spans and its windowed arrival/drop/queue-depth
-    /// series, and the run's event-core counter profile is attached.
-    ///
-    /// Tracing is observation only — the recorder consumes no random
-    /// draws, so the returned points are bit-identical to the untraced
-    /// [`TenancyBenchmark::run_colocated`] of the same streams.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`TenancyBenchmark::run_colocated`].
-    pub fn run_colocated_traced(
-        &self,
-        platform: &Platform,
-        tenants: &[TenantSpec],
-        policy: SlotPolicy,
-        rng: &mut SimRng,
-        recorder: Recorder,
-    ) -> Result<(Vec<TenantPoint>, Recorder), SimError> {
-        let streams = tenants
-            .iter()
-            .map(|t| TenantStreams::derive(t, rng))
-            .collect::<Vec<_>>();
-        let (points, obs) = self.run_once(
+        self.run_once(
             platform,
             tenants,
             policy,
             &streams,
             rng.split("misc"),
-            Some(recorder),
-        )?;
-        Ok((points, obs.expect("the recorder threads through the run")))
+            recorder,
+        )
     }
 
     /// Runs the whole victim-vs-aggressor sweep once: a solo victim
@@ -401,18 +380,20 @@ impl TenancyBenchmark {
         platform: &Platform,
         rng: &mut SimRng,
     ) -> Result<Vec<ColocationPoint>, SimError> {
-        let victim_streams = TenantStreams::derive(&self.victim, rng);
-        let aggressor_streams = TenantStreams::derive(&self.aggressor, rng);
+        let victim_streams = tenant_streams(&self.victim, rng);
+        let aggressor_streams = tenant_streams(&self.aggressor, rng);
         let mut misc = rng.split("misc");
+        let mut run = |tenants: &[TenantSpec], streams: &[_], policy, label| {
+            self.run_once(platform, tenants, policy, streams, misc.split(label), None)
+                .map(|(points, _)| points)
+        };
 
         // Solo baseline: the victim's own streams, nobody else on the pool.
-        let (solo, _) = self.run_once(
-            platform,
+        let solo = run(
             std::slice::from_ref(&self.victim),
-            SlotPolicy::WeightedDrr,
             std::slice::from_ref(&victim_streams),
-            misc.split("solo"),
-            None,
+            SlotPolicy::WeightedDrr,
+            "solo",
         )?;
         let solo_p99 = solo[0].p99_us;
 
@@ -422,22 +403,8 @@ impl TenancyBenchmark {
             aggressor.offered_fraction = fraction;
             let tenants = [self.victim.clone(), aggressor];
             let streams = [victim_streams.clone(), aggressor_streams.clone()];
-            let (drr, _) = self.run_once(
-                platform,
-                &tenants,
-                SlotPolicy::WeightedDrr,
-                &streams,
-                misc.split("drr"),
-                None,
-            )?;
-            let (fifo, _) = self.run_once(
-                platform,
-                &tenants,
-                SlotPolicy::FifoArrival,
-                &streams,
-                misc.split("fifo"),
-                None,
-            )?;
+            let drr = run(&tenants, &streams, SlotPolicy::WeightedDrr, "drr")?;
+            let fifo = run(&tenants, &streams, SlotPolicy::FifoArrival, "fifo")?;
             let [victim, aggressor] = <[TenantPoint; 2]>::try_from(drr)
                 .expect("a two-tenant run yields two tenant points");
             let isolation_index = if solo_p99 > 0.0 {
@@ -464,9 +431,9 @@ impl TenancyBenchmark {
         platform: &Platform,
         tenants: &[TenantSpec],
         policy: SlotPolicy,
-        streams: &[TenantStreams],
+        streams: &[(SimRng, SimRng)],
         misc_rng: SimRng,
-        mut obs: Option<Recorder>,
+        obs: Option<Recorder>,
     ) -> Result<(Vec<TenantPoint>, Option<Recorder>), SimError> {
         if tenants.is_empty() {
             return Err(SimError::InvalidConfig(
@@ -494,329 +461,89 @@ impl TenancyBenchmark {
         let classes = tenants
             .iter()
             .zip(&profiles)
-            .map(|(t, p)| ClassConfig {
-                weight: t.weight,
-                queue_capacity: t.queue_capacity,
-                mean_cost: p.service_time,
+            .zip(streams)
+            .map(|((spec, profile), (arrival, service))| {
+                let rate = profile.capacity_per_sec() * spec.offered_fraction;
+                let gen = ArrivalGen::new(spec.arrivals, rate, arrival.clone());
+                Class {
+                    lane: spec.name.clone(),
+                    arrivals: Arrivals::windowed(gen, window_secs),
+                    profile: *profile,
+                    service_rng: service.clone(),
+                    chain: MiddlewareChain::empty(),
+                    stage_rngs: Vec::new(),
+                    backend: spec.backend,
+                    clients: spec.clients,
+                    weight: spec.weight,
+                    queue_capacity: spec.queue_capacity,
+                }
             })
             .collect();
-        let pool = SlotPool::new(self.servers, policy, classes)?;
-
-        let runtime = tenants
+        let pool = Pool {
+            servers: self.servers,
+            policy,
+            op_sample_every: self.op_sample_every,
+            probes: false,
+        };
+        let run = engine::run(&pool, classes, misc_rng, obs)?;
+        let duration = run.end.as_secs_f64().max(f64::MIN_POSITIVE);
+        let points = tenants
             .iter()
             .zip(&profiles)
-            .zip(streams)
-            .map(|((spec, profile), streams)| {
-                let rate = profile.capacity_per_sec() * spec.offered_fraction;
-                TenantRt {
-                    spec: spec.clone(),
-                    profile: *profile,
-                    gen: ArrivalGen::new(spec.arrivals, rate, streams.arrival.clone()),
-                    service_rng: streams.service.clone(),
-                    offered_per_sec: rate,
-                    clock_secs: 0.0,
-                    window_secs,
-                    conns: vec![ConnState::default(); spec.clients.max(1)],
-                    latencies_us: Vec::new(),
-                    issued: 0,
-                    completed: 0,
-                    dropped: 0,
-                }
-            })
-            .collect::<Vec<_>>();
-
-        // One trace lane per tenant, registered in input order.
-        let obs_lanes = match obs.as_mut() {
-            Some(o) => tenants.iter().map(|t| o.lane(&t.name)).collect(),
-            None => Vec::new(),
-        };
-        let mut sim: Simulation<TenantSim> = Simulation::new();
-        let mut state = TenantSim {
-            pool,
-            backends: tenants
-                .iter()
-                .map(|t| BackendState::build(t.backend))
-                .collect(),
-            tenants: runtime,
-            misc_rng,
-            op_sample_every: self.op_sample_every.max(1),
-            admitted: 0,
-            completions: CompletionTimer::new(),
-            drain_buf: Vec::new(),
-            dispatch_buf: Vec::new(),
-            next_request: 0,
-            obs,
-            obs_lanes,
-        };
-        for tenant in 0..tenants.len() {
-            sim.schedule_at(Nanos::ZERO, move |sim, st: &mut TenantSim| {
-                st.generate(sim, tenant)
-            });
-        }
-        sim.run(&mut state);
-        if let Some(obs) = state.obs.as_mut() {
-            // The wheel profile of the window: the simulation's own queue
-            // plus the batched completion timer's.
-            obs.set_core_counters(sim.counters().merged(state.completions.counters()));
-        }
-        let obs = state.obs.take();
-        let end = sim.now();
-        let stores: Vec<StoreSnapshot> = state
-            .backends
-            .iter()
-            .map(BackendState::store_stats)
+            .zip(run.classes)
+            .map(|((spec, profile), class)| tenant_point(spec, profile, class, duration))
             .collect();
-        Ok((
-            state
-                .tenants
-                .into_iter()
-                .zip(stores)
-                .map(|(t, store)| t.into_point(end, store))
-                .collect(),
-            obs,
-        ))
+        Ok((points, run.obs))
     }
 }
 
-/// The per-tenant random streams of one trial, shared (cloned) across the
-/// trial's sweep points and scheduler policies.
-#[derive(Debug, Clone)]
-struct TenantStreams {
-    arrival: SimRng,
-    service: SimRng,
-}
-
-impl TenantStreams {
-    fn derive(tenant: &TenantSpec, rng: &mut SimRng) -> Self {
-        TenantStreams {
-            arrival: rng.split(&format!("arrivals/{}", tenant.name)),
-            service: rng.split(&format!("service/{}", tenant.name)),
-        }
+/// Folds one tenant's class outcome over a window of `duration` seconds
+/// into its sweep-point summary.
+fn tenant_point(
+    spec: &TenantSpec,
+    profile: &ServiceProfile,
+    class: ClassOutcome,
+    duration: f64,
+) -> TenantPoint {
+    let slo_us = profile.service_time.as_micros_f64() * spec.slo_service_multiple;
+    let (p50, p95, p99, mean, violation) = match Cdf::from_samples(class.sojourns_us) {
+        Ok(cdf) => (
+            cdf.percentile(50.0),
+            cdf.percentile(95.0),
+            cdf.percentile(99.0),
+            cdf.mean(),
+            1.0 - cdf.fraction_below(slo_us),
+        ),
+        Err(_) => (0.0, 0.0, 0.0, 0.0, 0.0),
+    };
+    let l = class.ledger;
+    TenantPoint {
+        offered_fraction: spec.offered_fraction,
+        offered_per_sec: profile.capacity_per_sec() * spec.offered_fraction,
+        achieved_per_sec: l.completed as f64 / duration,
+        p50_us: p50,
+        p95_us: p95,
+        p99_us: p99,
+        mean_us: mean,
+        issued: l.issued,
+        completed: l.completed,
+        dropped: l.dropped,
+        drop_rate: l.dropped as f64 / l.issued.max(1) as f64,
+        slo_violation: violation,
+        slo_us,
+        store_entries: class.store.entries,
+        store_evictions: class.store.evictions,
+        store_lock_waits: class.store.lock_waits,
     }
 }
 
-/// Per-connection accounting of one tenant's population.
-#[derive(Debug, Default, Clone, Copy)]
-struct ConnState {
-    issued: u64,
-    completed: u64,
-    dropped: u64,
-}
-
-/// A request in the admission queue or in service.
-#[derive(Debug, Clone, Copy)]
-struct Req {
-    /// Deterministic arrival index (across all tenants, in handler
-    /// order), the identity trace sampling keys on.
-    id: u64,
-    arrived: Nanos,
-    tenant: u32,
-    conn: u32,
-}
-
-/// Arrival events are pre-scheduled in chunks of this size per tenant,
-/// bounding the pending-event count.
-const ARRIVAL_CHUNK: usize = 256;
-
-/// Runtime state of one tenant inside the simulation.
-struct TenantRt {
-    spec: TenantSpec,
-    profile: ServiceProfile,
-    gen: ArrivalGen,
-    service_rng: SimRng,
-    offered_per_sec: f64,
-    /// The tenant's arrival clock in seconds (monotone across chunks).
-    clock_secs: f64,
-    window_secs: f64,
-    conns: Vec<ConnState>,
-    latencies_us: Vec<f64>,
-    issued: u64,
-    completed: u64,
-    dropped: u64,
-}
-
-impl TenantRt {
-    fn into_point(self, end: Nanos, store: StoreSnapshot) -> TenantPoint {
-        let duration = end.as_secs_f64().max(f64::MIN_POSITIVE);
-        let slo_us = self.profile.service_time.as_micros_f64() * self.spec.slo_service_multiple;
-        let issued: u64 = self.conns.iter().map(|c| c.issued).sum();
-        debug_assert_eq!(issued, self.issued);
-        debug_assert_eq!(issued, self.completed + self.dropped);
-        let (p50, p95, p99, mean, violation) = match Cdf::from_samples(self.latencies_us) {
-            Ok(cdf) => (
-                cdf.percentile(50.0),
-                cdf.percentile(95.0),
-                cdf.percentile(99.0),
-                cdf.mean(),
-                1.0 - cdf.fraction_below(slo_us),
-            ),
-            Err(_) => (0.0, 0.0, 0.0, 0.0, 0.0),
-        };
-        TenantPoint {
-            offered_fraction: self.spec.offered_fraction,
-            offered_per_sec: self.offered_per_sec,
-            achieved_per_sec: self.completed as f64 / duration,
-            p50_us: p50,
-            p95_us: p95,
-            p99_us: p99,
-            mean_us: mean,
-            issued,
-            completed: self.completed,
-            dropped: self.dropped,
-            drop_rate: if issued > 0 {
-                self.dropped as f64 / issued as f64
-            } else {
-                0.0
-            },
-            slo_violation: violation,
-            slo_us,
-            store_entries: store.entries,
-            store_evictions: store.evictions,
-            store_lock_waits: store.lock_waits,
-        }
-    }
-}
-
-/// The discrete-event state of one co-located window.
-struct TenantSim {
-    pool: SlotPool<Req>,
-    tenants: Vec<TenantRt>,
-    backends: Vec<BackendState>,
-    misc_rng: SimRng,
-    op_sample_every: u64,
-    admitted: u64,
-    /// Batched completion drain shared by every tenant: coalesced wakes
-    /// drain a whole timing-wheel slot of completions per clock advance.
-    completions: CompletionTimer<Req>,
-    drain_buf: Vec<(Nanos, Req)>,
-    dispatch_buf: Vec<(usize, Nanos, Req)>,
-    /// Arrival indices double as trace-sampling identities.
-    next_request: u64,
-    /// `None` is the zero-cost untraced path.
-    obs: Option<Recorder>,
-    /// One lane per tenant, in tenant order.
-    obs_lanes: Vec<u32>,
-}
-
-impl TenantSim {
-    /// Pre-schedules the next chunk of one tenant's arrivals; reschedules
-    /// itself at the chunk's last arrival while the window is open.
-    fn generate(&mut self, sim: &mut Simulation<TenantSim>, tenant: usize) {
-        let t = &mut self.tenants[tenant];
-        let mut last_at = None;
-        for _ in 0..ARRIVAL_CHUNK {
-            t.clock_secs += t.gen.next_gap();
-            if t.clock_secs > t.window_secs {
-                return;
-            }
-            let at = Nanos::from_secs_f64(t.clock_secs);
-            sim.schedule_at(at, move |sim, st: &mut TenantSim| st.arrive(sim, tenant));
-            last_at = Some(at);
-        }
-        if let Some(at) = last_at {
-            sim.schedule_at(at, move |sim, st: &mut TenantSim| st.generate(sim, tenant));
-        }
-    }
-
-    /// One arrival: attribute it to a connection, then dispatch, queue or
-    /// drop at the shared pool.
-    fn arrive(&mut self, sim: &mut Simulation<TenantSim>, tenant: usize) {
-        let now = sim.now();
-        let conn = self.misc_rng.index(self.tenants[tenant].conns.len()) as u32;
-        let t = &mut self.tenants[tenant];
-        t.issued += 1;
-        t.conns[conn as usize].issued += 1;
-        let req = Req {
-            id: self.next_request,
-            arrived: now,
-            tenant: tenant as u32,
-            conn,
-        };
-        self.next_request += 1;
-        if let Some(obs) = self.obs.as_mut() {
-            obs.count_arrival(self.obs_lanes[tenant], now);
-        }
-        match self.pool.offer(tenant, now, req) {
-            Admission::Dispatched => {
-                self.admit(tenant);
-                self.start_service(sim, req);
-            }
-            Admission::Queued => self.admit(tenant),
-            Admission::Dropped => {
-                let t = &mut self.tenants[tenant];
-                t.dropped += 1;
-                t.conns[conn as usize].dropped += 1;
-                if let Some(obs) = self.obs.as_mut() {
-                    obs.count_drop(self.obs_lanes[tenant], now);
-                }
-            }
-        }
-        if let Some(obs) = self.obs.as_mut() {
-            obs.gauge(
-                self.obs_lanes[tenant],
-                now,
-                self.pool.queued(tenant),
-                self.pool.busy(),
-            );
-        }
-    }
-
-    /// Samples the dispatched request's service time from its tenant's
-    /// stream and registers its completion with the batched timer, arming
-    /// a scheduler wake only when it became the earliest pending one.
-    fn start_service(&mut self, sim: &mut Simulation<TenantSim>, req: Req) {
-        let t = &mut self.tenants[req.tenant as usize];
-        let service = t.profile.sample_service_time(&mut t.service_rng);
-        let now = sim.now();
-        if let Some(obs) = self.obs.as_mut() {
-            let lane = self.obs_lanes[req.tenant as usize];
-            obs.span(SpanKind::AdmissionWait, req.id, lane, req.arrived, now);
-            obs.span(SpanKind::SlotService, req.id, lane, now, now + service);
-        }
-        if let Some(wake) = self.completions.schedule(now + service, req) {
-            sim.schedule_at(wake, |sim, st: &mut TenantSim| st.drain_completions(sim));
-        }
-    }
-
-    /// Sampled real-backend execution per admitted request.
-    fn admit(&mut self, tenant: usize) {
-        self.admitted += 1;
-        if self.admitted % self.op_sample_every == 0 {
-            self.backends[tenant].execute(&mut self.misc_rng);
-        }
-    }
-
-    /// One completion wake: drains every due completion across the
-    /// tenants, records their sojourn times, folds the whole batch into
-    /// the shared pool, and starts service on the scheduler's next picks.
-    fn drain_completions(&mut self, sim: &mut Simulation<TenantSim>) {
-        let now = sim.now();
-        let mut due = std::mem::take(&mut self.drain_buf);
-        if let Some(wake) = self.completions.wake(now, &mut due) {
-            sim.schedule_at(wake, |sim, st: &mut TenantSim| st.drain_completions(sim));
-        }
-        for &(at, req) in &due {
-            debug_assert_eq!(at, now, "completions drain exactly at their tick");
-            let t = &mut self.tenants[req.tenant as usize];
-            t.latencies_us.push((now - req.arrived).as_micros_f64());
-            t.completed += 1;
-            t.conns[req.conn as usize].completed += 1;
-            if let Some(obs) = self.obs.as_mut() {
-                obs.count_completion(self.obs_lanes[req.tenant as usize], now);
-            }
-        }
-        let mut dispatched = std::mem::take(&mut self.dispatch_buf);
-        self.pool.finish_batch(
-            due.iter().map(|&(_, req)| req.tenant as usize),
-            &mut dispatched,
-        );
-        due.clear();
-        self.drain_buf = due;
-        for (_, _, next) in dispatched.drain(..) {
-            self.start_service(sim, next);
-        }
-        self.dispatch_buf = dispatched;
-    }
+/// The `(arrival, service)` streams of one tenant in a trial, shared
+/// (cloned) across the trial's sweep points and scheduler policies.
+fn tenant_streams(tenant: &TenantSpec, rng: &mut SimRng) -> (SimRng, SimRng) {
+    (
+        rng.split(&format!("arrivals/{}", tenant.name)),
+        rng.split(&format!("service/{}", tenant.name)),
+    )
 }
 
 #[cfg(test)]
@@ -1033,7 +760,8 @@ mod tests {
                 &platform,
                 &[],
                 SlotPolicy::WeightedDrr,
-                &mut SimRng::seed_from(41)
+                &mut SimRng::seed_from(41),
+                None
             )
             .is_err());
     }
@@ -1044,24 +772,26 @@ mod tests {
         let bench = tiny(LoadBackend::Memcached);
         let platform = PlatformId::Docker.build();
         let tenants = [bench.victim.clone(), bench.aggressor.clone()];
-        let plain = bench
+        let (plain, _) = bench
             .run_colocated(
                 &platform,
                 &tenants,
                 SlotPolicy::WeightedDrr,
                 &mut SimRng::seed_from(43),
+                None,
             )
             .unwrap();
         let recorder = Recorder::try_new(ObsConfig::new(9, 0.5)).unwrap();
         let (traced, recorder) = bench
-            .run_colocated_traced(
+            .run_colocated(
                 &platform,
                 &tenants,
                 SlotPolicy::WeightedDrr,
                 &mut SimRng::seed_from(43),
-                recorder,
+                Some(recorder),
             )
             .unwrap();
+        let recorder = recorder.expect("the recorder threads through the run");
         assert_eq!(plain, traced, "the recorder must not perturb the run");
         assert!(recorder.spans_accepted() > 0);
         let timeline = recorder.timeline_json("tenant", 43);
@@ -1077,12 +807,13 @@ mod tests {
         third.name = "batch".to_string();
         third.offered_fraction = 0.2;
         let tenants = [bench.victim.clone(), bench.aggressor.clone(), third];
-        let points = bench
+        let (points, _) = bench
             .run_colocated(
                 &platform,
                 &tenants,
                 SlotPolicy::WeightedDrr,
                 &mut SimRng::seed_from(42),
+                None,
             )
             .unwrap();
         assert_eq!(points.len(), 3);

@@ -2,6 +2,8 @@
 //! shape, the percentile ordering and saturation behaviour of the merged
 //! figures, and bit-identical results across executor worker counts.
 
+mod common;
+
 use std::sync::OnceLock;
 
 use isolation_bench::prelude::*;
@@ -11,13 +13,18 @@ fn cfg() -> RunConfig {
 }
 
 /// The serial reference figures, computed once: they are a pure function
-/// of the fixed seed, and every test in this file reads them.
+/// of the fixed seed, every test in this file reads them, and each must
+/// match its golden digest.
 fn load_figures() -> &'static Vec<FigureData> {
     static FIGURES: OnceLock<Vec<FigureData>> = OnceLock::new();
     FIGURES.get_or_init(|| {
         [ExperimentId::LoadMemcached, ExperimentId::LoadMysql]
             .iter()
-            .map(|e| figures::run(*e, &cfg()))
+            .map(|e| {
+                let fig = figures::run(*e, &cfg());
+                common::assert_golden(&fig);
+                fig
+            })
             .collect()
     })
 }

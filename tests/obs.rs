@@ -55,8 +55,9 @@ fn cluster_trace_is_byte_identical_across_core_lane_counts() {
         let mut run_rng = rng::derive(SEED, "trace", "cluster", 0);
         let recorder = recorder_for("cluster", SEED).unwrap();
         let (point, obs) = bench
-            .run_setting_traced(&platform, &setting, &mut run_rng, recorder)
+            .run_setting(&platform, &setting, &mut run_rng, Some(recorder))
             .unwrap();
+        let obs = obs.expect("the recorder threads through the run");
         artifacts.push((
             point,
             obs.chrome_trace_json("cluster"),
@@ -86,9 +87,9 @@ fn the_sampled_span_set_is_identical_across_runs() {
         ))
         .unwrap();
         let (_, obs) = bench
-            .run_point_traced(&platform, 0.8, &mut run_rng, recorder)
+            .run_point(&platform, 0.8, &mut run_rng, Some(recorder))
             .unwrap();
-        obs.spans()
+        obs.expect("the recorder threads through the run").spans()
     };
     let first = spans(SEED);
     assert!(!first.is_empty());
@@ -103,13 +104,16 @@ fn a_zero_sample_rate_run_records_no_spans() {
     let recorder = Recorder::try_new(ObsConfig::new(SEED, 0.0)).unwrap();
     let mut traced_rng = SimRng::seed_from(SEED);
     let (traced_point, obs) = bench
-        .run_point_traced(&platform, 0.8, &mut traced_rng, recorder)
+        .run_point(&platform, 0.8, &mut traced_rng, Some(recorder))
         .unwrap();
+    let obs = obs.expect("the recorder threads through the run");
     assert_eq!(obs.spans_accepted(), 0);
     assert!(obs.spans().is_empty());
     assert!(!obs.chrome_trace_json("loadgen").contains("slot-service"));
     // Tracing at rate zero is still observation only.
     let mut plain_rng = SimRng::seed_from(SEED);
-    let plain_point = bench.run_point(&platform, 0.8, &mut plain_rng).unwrap();
+    let (plain_point, _) = bench
+        .run_point(&platform, 0.8, &mut plain_rng, None)
+        .unwrap();
     assert_eq!(traced_point, plain_point);
 }

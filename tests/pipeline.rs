@@ -4,6 +4,8 @@
 //! to a constant-cost chain, and bit-identical results across executor
 //! worker counts.
 
+mod common;
+
 use std::sync::OnceLock;
 
 use isolation_bench::harness::grid;
@@ -23,13 +25,18 @@ const EXPERIMENTS: [ExperimentId; 2] =
 const DEPTH_LABELS: [&str; 5] = ["d1 h0.90", "d2 h0.90", "d4 h0.90", "d6 h0.90", "d8 h0.90"];
 
 /// The serial reference figures, computed once: they are a pure function
-/// of the fixed seed, and every test in this file reads them.
+/// of the fixed seed, every test in this file reads them, and each must
+/// match its golden digest.
 fn pipeline_figures() -> &'static Vec<FigureData> {
     static FIGURES: OnceLock<Vec<FigureData>> = OnceLock::new();
     FIGURES.get_or_init(|| {
         EXPERIMENTS
             .iter()
-            .map(|e| figures::run(*e, &cfg()))
+            .map(|e| {
+                let fig = figures::run(*e, &cfg());
+                common::assert_golden(&fig);
+                fig
+            })
             .collect()
     })
 }

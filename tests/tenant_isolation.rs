@@ -3,6 +3,8 @@
 //! load, the weighted-vs-FIFO isolation guarantee, and bit-identical
 //! results across executor worker counts.
 
+mod common;
+
 use std::sync::OnceLock;
 
 use isolation_bench::harness::grid;
@@ -19,13 +21,18 @@ const EXPERIMENTS: [ExperimentId; 2] = [
 ];
 
 /// The serial reference figures, computed once: they are a pure function
-/// of the fixed seed, and every test in this file reads them.
+/// of the fixed seed, every test in this file reads them, and each must
+/// match its golden digest.
 fn tenant_figures() -> &'static Vec<FigureData> {
     static FIGURES: OnceLock<Vec<FigureData>> = OnceLock::new();
     FIGURES.get_or_init(|| {
         EXPERIMENTS
             .iter()
-            .map(|e| figures::run(*e, &cfg()))
+            .map(|e| {
+                let fig = figures::run(*e, &cfg());
+                common::assert_golden(&fig);
+                fig
+            })
             .collect()
     })
 }
