@@ -51,13 +51,12 @@ struct Entry<T> {
 }
 
 /// Lifetime operation counters of one event core — the timing wheel's
-/// own telemetry, surfaced by [`EventQueue::counters`],
-/// [`Simulation::counters`] and [`ShardedCores::counters`].
+/// own telemetry, surfaced by [`EventQueue::counters`] and
+/// [`Simulation::counters`].
 ///
-/// `pushes` and `pops` are invariant under resharding (they count the
-/// logical event traffic), while `slot_drains`, `cascades` and
-/// `spill_promotions` describe the wheel *topology* the traffic ran on
-/// and legitimately differ between a single core and a sharded group.
+/// `pushes` and `pops` count the logical event traffic, while
+/// `slot_drains`, `cascades` and `spill_promotions` describe the wheel
+/// *topology* the traffic ran on.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct CoreCounters {
     /// Entries scheduled into the core.
@@ -73,8 +72,8 @@ pub struct CoreCounters {
 }
 
 impl CoreCounters {
-    /// Component-wise sum of two counter snapshots (used to fold a
-    /// sharded group's per-core counters in lane order).
+    /// Component-wise sum of two counter snapshots (used to fold several
+    /// queues' counters into one run's profile).
     pub fn merged(self, other: CoreCounters) -> CoreCounters {
         CoreCounters {
             pushes: self.pushes + other.pushes,
@@ -333,27 +332,20 @@ impl<T> EventCore<T> {
     }
 }
 
-/// A group of per-shard event cores advancing in bounded lock-step behind
-/// one deterministic cross-core merge.
+/// A group of event cores behind one deterministic cross-core merge.
 ///
 /// Every core is a full hierarchical timing wheel of its own, but the
 /// group shares **one** sequence counter and **one** pop frontier:
 /// [`ShardedCores::pop`] always yields the globally earliest pending
 /// entry by `(timestamp, seq)`, and pushes behind the merged frontier
-/// clamp to it. Two consequences, both load-bearing for the cluster
-/// simulations built on top:
+/// clamp to it. The pop sequence is therefore a pure function of the
+/// push sequence: distributing the same pushes over any number of cores
+/// yields the exact pop order of a single [`EventQueue`], pop for pop.
 ///
-/// * **Core-count invariance** — the pop sequence is a pure function of
-///   the push sequence: distributing the same pushes over 1, 2, 4 or 8
-///   cores yields the exact pop order of a single [`EventQueue`],
-///   pop for pop. Shard state can therefore be partitioned over any
-///   number of core lanes without perturbing a simulation's results.
-/// * **Bounded lock-step** — [`ShardedCores::pop_within`] drains the
-///   merge only up to a window boundary, so a driver advances all cores
-///   window by window: no core enters the next window before every core
-///   has finished the current one. This is the conservative-parallelism
-///   discipline that makes per-lane threading possible later; today the
-///   merge itself runs sequentially and buys determinism, not speedup.
+/// No workload runs on it: a single-threaded merge over N wheels costs
+/// throughput and buys nothing one [`EventQueue`] does not give. The
+/// group remains as a microbenchmark subject and as the property-test
+/// partition of one merged queue.
 ///
 /// # Example
 ///
@@ -388,11 +380,6 @@ impl<T> ShardedCores<T> {
         }
     }
 
-    /// Number of core lanes in the group.
-    pub fn cores(&self) -> usize {
-        self.cores.len()
-    }
-
     /// Total pending entries across all cores.
     pub fn len(&self) -> usize {
         self.len
@@ -403,22 +390,13 @@ impl<T> ShardedCores<T> {
         self.len == 0
     }
 
-    /// Pending entries on one core lane.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `core` is out of range.
-    pub fn core_len(&self, core: usize) -> usize {
-        self.cores[core].len()
-    }
-
     /// The merged pop frontier: the timestamp of the latest pop. Pushes
     /// behind it clamp to it, on whichever core they land.
     pub fn frontier(&self) -> Nanos {
         self.frontier
     }
 
-    /// Schedules `value` at `at` on core lane `core`, drawing the entry's
+    /// Schedules `value` at `at` on core `core`, drawing the entry's
     /// sequence number from the group-wide counter. A timestamp behind
     /// the **merged** frontier is clamped to it, exactly as a single
     /// [`EventQueue`] clamps to its own frontier.
@@ -432,11 +410,6 @@ impl<T> ShardedCores<T> {
         let at = at.max(self.frontier);
         self.cores[core].push_seq(at, seq, value);
         self.len += 1;
-    }
-
-    /// The earliest pending timestamp across all cores, without draining.
-    pub fn peek_time(&self) -> Option<Nanos> {
-        self.cores.iter().filter_map(EventCore::peek_time).min()
     }
 
     /// Removes and returns the globally earliest entry as
@@ -457,38 +430,6 @@ impl<T> ShardedCores<T> {
         self.len -= 1;
         self.frontier = entry.at;
         Some((idx, entry.at, entry.value))
-    }
-
-    /// Removes the globally earliest entry only if its timestamp lies at
-    /// or before `horizon` — the bounded lock-step primitive. Draining
-    /// with a fixed window boundary advances every core to the boundary
-    /// before any core sees the next window.
-    pub fn pop_within(&mut self, horizon: Nanos) -> Option<(usize, Nanos, T)> {
-        if self.peek_time()? > horizon {
-            return None;
-        }
-        self.pop()
-    }
-
-    /// Lifetime operation counters of one core lane.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `core` is out of range.
-    pub fn core_counters(&self, core: usize) -> CoreCounters {
-        self.cores[core].counters()
-    }
-
-    /// The group's counters, folded over the lanes in index order.
-    ///
-    /// `pushes`/`pops` are lane-count-invariant; the wheel-topology
-    /// counters (`slot_drains`, `cascades`, `spill_promotions`) are not —
-    /// see [`CoreCounters`].
-    pub fn counters(&self) -> CoreCounters {
-        self.cores
-            .iter()
-            .map(EventCore::counters)
-            .fold(CoreCounters::default(), CoreCounters::merged)
     }
 }
 
@@ -1037,7 +978,6 @@ mod tests {
                     let at = Nanos::from_nanos((step() % 64) << shift);
                     group.push((r % cores as u64) as usize, at, i);
                     single.push(at, i);
-                    assert_eq!(group.peek_time(), single.peek_time(), "peek #{i}");
                 }
                 assert_eq!(group.len(), single.len());
             }
@@ -1069,25 +1009,6 @@ mod tests {
     }
 
     #[test]
-    fn pop_within_bounds_the_lock_step_window() {
-        let mut group = ShardedCores::new(4);
-        group.push(2, Nanos::from_micros(1), "in-window");
-        group.push(3, Nanos::from_micros(10), "next-window");
-        let window = Nanos::from_micros(5);
-        assert_eq!(
-            group.pop_within(window),
-            Some((2, Nanos::from_micros(1), "in-window"))
-        );
-        assert_eq!(group.pop_within(window), None, "10 us is past the window");
-        assert_eq!(group.len(), 1, "bounded draining removes nothing extra");
-        assert_eq!(
-            group.pop_within(Nanos::from_micros(10)),
-            Some((3, Nanos::from_micros(10), "next-window"))
-        );
-        assert!(group.is_empty());
-    }
-
-    #[test]
     fn core_counters_track_the_wheel_operations() {
         let mut q = EventQueue::new();
         assert_eq!(q.counters(), CoreCounters::default());
@@ -1105,35 +1026,10 @@ mod tests {
     }
 
     #[test]
-    fn sharded_push_pop_counters_are_lane_count_invariant() {
-        // The logical-traffic counters must not depend on how the pushes
-        // were scattered over lanes; the topology counters may.
-        let drive = |cores: usize| {
-            let mut group = ShardedCores::new(cores);
-            for i in 0..500u64 {
-                group.push(
-                    (i % cores as u64) as usize,
-                    Nanos::from_nanos(i * 17 % 400),
-                    i,
-                );
-            }
-            while group.pop().is_some() {}
-            group.counters()
-        };
-        let one = drive(1);
-        for cores in [2, 4, 8] {
-            let many = drive(cores);
-            assert_eq!((many.pushes, many.pops), (one.pushes, one.pops));
-        }
-        assert_eq!((one.pushes, one.pops), (500, 500));
-    }
-
-    #[test]
     fn a_zero_core_group_still_holds_one_core() {
         let mut group = ShardedCores::new(0);
-        assert_eq!(group.cores(), 1);
         group.push(0, Nanos::from_nanos(3), 7u32);
-        assert_eq!(group.core_len(0), 1);
+        assert_eq!(group.len(), 1);
         assert_eq!(group.pop(), Some((0, Nanos::from_nanos(3), 7u32)));
     }
 

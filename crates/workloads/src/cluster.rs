@@ -1,20 +1,16 @@
-//! Sharded cluster scale-out: a routing tier over N per-shard event
-//! cores (beyond the paper).
+//! Sharded cluster scale-out: a routing tier over N backend shards
+//! (beyond the paper).
 //!
 //! Every earlier subsystem models one node; the ROADMAP's north star is
 //! the fleet. This module puts a **routing tier** in front of N backend
 //! shards: arrivals draw Zipf-skewed keys (configurable skew `s` and
 //! hot-key fraction, the YCSB-style hotspot mix), the router maps each
 //! key to a shard, and every shard owns its **own** derated
-//! [`SlotPool`] + [`CompletionTimer`] pair whose events live on its own
-//! core lane of a [`simcore::ShardedCores`] group. Shards advance in
-//! bounded lock-step windows with a deterministic cross-core
-//! `(timestamp, seq)` merge, so the whole cluster simulation is a pure
-//! function of its seed — the same byte-identical guarantee the
-//! executor proves across worker counts, now *inside* one experiment:
-//! results are identical whether the shards share 1, 2, 4 or 8 event
-//! cores ([`ClusterBenchmark::shard_cores`]), which is what makes
-//! per-lane parallel execution a pure optimization later.
+//! [`SlotPool`] + [`CompletionTimer`] pair. All shards' events share one
+//! typed [`EventQueue`], drained by a plain pop loop in `(timestamp,
+//! seq)` order, as in [`crate::engine`]; the whole cluster simulation is
+//! a pure function of its seed. Parallelism comes from the executor,
+//! which runs whole sweeps per worker, not from inside one point.
 //!
 //! The sweep tells three stories, one per finding:
 //!
@@ -54,11 +50,10 @@
 //!
 //! Determinism contract: the arrival, service and key streams are split
 //! once per trial and cloned per sweep point (common random numbers, the
-//! `loadgen` discipline), the service stream is consumed in the merged
-//! event order (which is core-count invariant), and each arrival's key
-//! costs exactly two draws whatever the outcome, so sweep points stay
-//! coupled and figures are bit-identical for any executor worker count
-//! *and* any shard-core count. The quorum settings extend the contract
+//! `loadgen` discipline), the service stream is consumed in event-queue
+//! order, and each arrival's key costs exactly two draws whatever the
+//! outcome, so sweep points stay coupled and figures are bit-identical
+//! for any executor worker count. The quorum settings extend the contract
 //! without disturbing it: the request-class and fault streams are two
 //! *additional* named splits taken after the original three (split
 //! derivation is label-keyed, so the legacy streams are unchanged), a
@@ -69,12 +64,13 @@
 use kvstore::{Shard, ShardStats};
 use platforms::Platform;
 use simcore::error::SimError;
+use simcore::events::CoreCounters;
 use simcore::obs::{Recorder, SpanKind};
 use simcore::resource::CompletionTimer;
 use simcore::stats::{Cdf, RunningStats};
-use simcore::{Nanos, ShardedCores, SimRng};
+use simcore::{EventQueue, Nanos, SimRng};
 
-use crate::engine::ARRIVAL_CHUNK;
+use crate::engine::{Ledger, ARRIVAL_CHUNK};
 use crate::slots::{
     backend_profile, validated_fraction, Admission, ClassConfig, SlotPolicy, SlotPool,
 };
@@ -312,13 +308,6 @@ pub struct ClusterBenchmark {
     pub hot_keys: usize,
     /// Fraction of requests drawn from the hot set (the hotspot mix).
     pub hot_fraction: f64,
-    /// Event-core lanes the shards multiplex onto (the lock-step group
-    /// width). Results are identical for any value — the invariance the
-    /// acceptance tests pin at 1/2/4/8.
-    pub shard_cores: usize,
-    /// Width of one bounded lock-step window, in microseconds. Pure
-    /// batching granularity: results are identical for any width.
-    pub lockstep_window_us: u64,
     /// Fraction of the arrival window after which the steady phase
     /// begins (imbalance is measured there) and the
     /// [`RoutePolicy::Rebalance`] policy reshards.
@@ -354,8 +343,6 @@ impl ClusterBenchmark {
             keys: 4_096,
             hot_keys: 16,
             hot_fraction: 0.3,
-            shard_cores: 4,
-            lockstep_window_us: 50,
             rebalance_after: 0.5,
             churn_epochs: 4,
             cache_bytes_per_shard: 64 << 10,
@@ -482,10 +469,7 @@ impl ClusterBenchmark {
     ///
     /// This is the unit the parallel executor shards on. The arrival,
     /// service and key streams are common random numbers across the
-    /// sweep points, and every point replays its events through the
-    /// merged lock-step core group, so the result is independent of
-    /// [`ClusterBenchmark::shard_cores`] and
-    /// [`ClusterBenchmark::lockstep_window_us`].
+    /// sweep points.
     ///
     /// # Errors
     ///
@@ -531,10 +515,9 @@ impl ClusterBenchmark {
     /// The stream discipline matches [`ClusterBenchmark::run_trial`]
     /// (the same named splits taken in the same order), and the recorder
     /// consumes no draws, so the point equals the corresponding sweep
-    /// point of an untraced trial. Event-core counters are *not*
-    /// attached to the timeline: the wheel-topology counters legitimately
-    /// differ per [`ClusterBenchmark::shard_cores`], while the traced
-    /// artifacts must stay byte-identical for any lane count.
+    /// point of an untraced trial. The timeline carries the run's
+    /// event-core counters: the event queue merged with every shard's
+    /// completion timer, including any timer a shard kill replaced.
     ///
     /// # Errors
     ///
@@ -578,7 +561,7 @@ impl ClusterBenchmark {
         sf + (1.0 - sf) * (wf * setting.write_quorum as f64 + (1.0 - wf) * read_quorum)
     }
 
-    /// Runs one sweep point through the lock-step core group.
+    /// Runs one sweep point: a plain pop loop over one typed event queue.
     fn run_with_streams(
         &self,
         profile: &ServiceProfile,
@@ -593,63 +576,38 @@ impl ClusterBenchmark {
             / self.expected_work(setting))
         .max(1.0);
         let mut sim = ClusterSim::new(self, profile, setting, offered_per_sec, obs)?;
-        let lanes = self.shard_cores.max(1).min(shards);
-        let mut cores: ShardedCores<Ev> = ShardedCores::new(lanes);
+        let mut queue = EventQueue::new();
         // Kick off the batched arrival source and the in-flight probes.
-        cores.push(0, Nanos::ZERO, Ev::Generate);
+        queue.push(Nanos::ZERO, Ev::Generate);
         let probes = 64u32;
         let window_secs = self.requests_per_point as f64 / offered_per_sec;
         let probe_period = Nanos::from_secs_f64(window_secs / f64::from(probes));
-        cores.push(0, probe_period, Ev::Probe { remaining: probes });
+        queue.push(probe_period, Ev::Probe { remaining: probes });
         // Seed-derived fault injection: the victim shard and the jitter
         // of the failure instant come from the per-trial fault stream
-        // (cloned per point), and the instants are pure virtual times —
-        // bit-identical for any lane count.
+        // (cloned per point), and the instants are pure virtual times.
         if setting.fault != FaultPlan::None {
             let victim = fault_rng.index(shards);
             let jitter = fault_rng.uniform01();
             let fail_at = Nanos::from_secs_f64(window_secs * (0.35 + 0.2 * jitter));
             sim.failed_shard = Some(victim);
             sim.fail_at = fail_at;
-            cores.push(
-                sim.lane_of(victim),
-                fail_at,
-                Ev::Fail {
-                    shard: victim as u32,
-                },
-            );
+            let shard = victim as u32;
+            queue.push(fail_at, Ev::Fail { shard });
             if setting.fault == FaultPlan::FailRecover {
                 let recover_at = fail_at + Nanos::from_secs_f64(0.25 * window_secs);
                 sim.recover_at = recover_at;
-                cores.push(
-                    sim.lane_of(victim),
-                    recover_at,
-                    Ev::Recover {
-                        shard: victim as u32,
-                    },
-                );
+                queue.push(recover_at, Ev::Recover { shard });
             }
         }
-        // The bounded lock-step drive: every core reaches the window
-        // boundary before any core enters the next window. The boundary
-        // jumps over empty windows, so the width is pure batching.
-        let window = Nanos::from_micros(self.lockstep_window_us.max(1));
-        let mut horizon = window;
-        loop {
-            while let Some((_lane, now, ev)) = cores.pop_within(horizon) {
-                sim.handle(now, ev, &mut cores, &mut st);
-            }
-            let Some(next) = cores.peek_time() else {
-                break;
-            };
-            let w = window.as_nanos();
-            horizon = Nanos::from_nanos(next.as_nanos().div_ceil(w).max(1) * w);
+        while let Some((now, ev)) = queue.pop() {
+            sim.handle(now, ev, &mut queue, &mut st);
         }
-        let obs = sim.obs.take();
-        Ok((
-            sim.into_point(setting, offered_per_sec, cores.frontier()),
-            obs,
-        ))
+        let mut obs = sim.obs.take();
+        if let Some(o) = obs.as_mut() {
+            o.set_core_counters(sim.core_counters(&queue));
+        }
+        Ok((sim.into_point(&queue), obs))
     }
 }
 
@@ -701,7 +659,7 @@ pub struct ClusterPoint {
     pub store_evictions: u64,
     /// Whether the routing tier resharded mid-window.
     pub rebalanced: bool,
-    /// Events processed by the lock-step core group at this point.
+    /// Events popped from the point's event queue.
     pub events: u64,
     /// Replication factor R of the point (1 for plain points).
     pub replicas: usize,
@@ -736,25 +694,23 @@ pub struct ClusterPoint {
 #[derive(Debug, Clone, Copy)]
 struct Req {
     /// Cluster-wide arrival index — the stable trace-sampling identity,
-    /// assigned by the router in generation order (lane-count
-    /// invariant).
+    /// assigned by the router in generation order.
     id: u64,
     arrived: Nanos,
     key: u32,
 }
 
 /// Typed events of the cluster simulation — no boxed closures; the
-/// merged pop order alone drives the state machine, which is what makes
-/// the run core-count invariant.
+/// queue's `(timestamp, seq)` pop order alone drives the state machine.
 #[derive(Debug, Clone, Copy)]
 enum Ev {
-    /// Sample and push the next chunk of routed arrivals (router, lane 0).
+    /// Sample and push the next chunk of routed arrivals (the router).
     Generate,
     /// One arrival at `shard` for `key`, the cluster's `id`-th overall.
     Arrive { shard: u32, id: u64, key: u32 },
     /// Completion-timer wake on `shard`.
     Drain { shard: u32 },
-    /// Fixed-cadence cluster in-flight probe (lane 0).
+    /// Fixed-cadence cluster in-flight probe.
     Probe { remaining: u32 },
     /// The fault plan kills `shard`: its in-service and queued work is
     /// abandoned (resolved as failed) and the routing tier re-resolves
@@ -777,7 +733,7 @@ enum ReqClass {
 
 /// Parent bookkeeping of one quorum request: the request completes when
 /// its last sub-request resolves (sojourn = max over the quorum, since
-/// the merged event order is non-decreasing in time), and it fails if
+/// the event order is non-decreasing in time), and it fails if
 /// *any* sub-request failed.
 #[derive(Debug, Clone, Copy)]
 struct Parent {
@@ -813,19 +769,16 @@ struct ClusterSim<'a> {
     profile: ServiceProfile,
     setting: ClusterSetting,
     offered_per_sec: f64,
-    lanes: usize,
     shards: Vec<ShardNode>,
-    /// Arrival index of the next generated request.
-    next_arrival: u64,
+    /// Request-level conservation ledger; `issued` doubles as the arrival
+    /// index of the next generated request. Nothing short-circuits.
+    ledger: Ledger,
     remaining_arrivals: u64,
     /// First arrival index of the steady phase (and reshard boundary).
     boundary: u64,
     /// Arrivals per churn epoch (`u64::MAX` when the hot set is static).
     epoch_len: u64,
     latencies_us: Vec<f64>,
-    completed: u64,
-    dropped: u64,
-    events: u64,
     in_flight_probe: RunningStats,
     peak_in_flight: usize,
     drain_buf: Vec<(Nanos, Req)>,
@@ -851,6 +804,8 @@ struct ClusterSim<'a> {
     fail_at: Nanos,
     /// Recovery instant (`Nanos::MAX` when the shard never recovers).
     recover_at: Nanos,
+    /// Counters of the completion timers `fail_shard` replaced.
+    retired_timers: CoreCounters,
     /// Requests resolved per phase (pre-fail / fail window / post-recover).
     issued_by_phase: [u64; 3],
     /// Requests dropped per phase.
@@ -918,16 +873,12 @@ impl<'a> ClusterSim<'a> {
             profile: *profile,
             setting: *setting,
             offered_per_sec,
-            lanes: bench.shard_cores.max(1).min(setting.shards),
             shards,
-            next_arrival: 0,
+            ledger: Ledger::default(),
             remaining_arrivals: requests,
             boundary: (bench.rebalance_after * requests as f64) as u64,
             epoch_len,
             latencies_us: Vec::with_capacity(bench.requests_per_point),
-            completed: 0,
-            dropped: 0,
-            events: 0,
             in_flight_probe: RunningStats::new(),
             peak_in_flight: 0,
             drain_buf: Vec::new(),
@@ -946,13 +897,10 @@ impl<'a> ClusterSim<'a> {
             failed_shard: None,
             fail_at: NEVER,
             recover_at: NEVER,
+            retired_timers: CoreCounters::default(),
             issued_by_phase: [0; 3],
             dropped_by_phase: [0; 3],
         })
-    }
-
-    fn lane_of(&self, shard: usize) -> usize {
-        shard % self.lanes
     }
 
     /// Base key id of the hot set at arrival index `idx`: churn rotates
@@ -1008,13 +956,12 @@ impl<'a> ClusterSim<'a> {
         }
     }
 
-    fn handle(&mut self, now: Nanos, ev: Ev, cores: &mut ShardedCores<Ev>, st: &mut ClusterState) {
-        self.events += 1;
+    fn handle(&mut self, now: Nanos, ev: Ev, queue: &mut EventQueue<Ev>, st: &mut ClusterState) {
         match ev {
-            Ev::Generate => self.generate(now, cores, st),
-            Ev::Arrive { shard, id, key } => self.arrive(now, shard as usize, id, key, cores, st),
-            Ev::Drain { shard } => self.drain(now, shard as usize, cores, st),
-            Ev::Probe { remaining } => self.probe(now, remaining, cores),
+            Ev::Generate => self.generate(now, queue, st),
+            Ev::Arrive { shard, id, key } => self.arrive(now, shard as usize, id, key, queue, st),
+            Ev::Drain { shard } => self.drain(now, shard as usize, queue, st),
+            Ev::Probe { remaining } => self.probe(now, remaining, queue),
             Ev::Fail { shard } => self.fail_shard(now, shard as usize),
             Ev::Recover { shard } => self.recover_shard(shard as usize),
         }
@@ -1041,7 +988,7 @@ impl<'a> ClusterSim<'a> {
         self.issued_by_phase[phase] += 1;
         match outcome {
             None => {
-                self.dropped += 1;
+                self.ledger.dropped += 1;
                 self.dropped_by_phase[phase] += 1;
             }
             Some((arrived, class)) => {
@@ -1050,7 +997,7 @@ impl<'a> ClusterSim<'a> {
                 if class == ReqClass::Scatter {
                     self.scatter_latencies_us.push(sojourn_us);
                 }
-                self.completed += 1;
+                self.ledger.completed += 1;
             }
         }
     }
@@ -1059,7 +1006,7 @@ impl<'a> ClusterSim<'a> {
     /// the request itself (and only failures arrive here — completions
     /// resolve in [`ClusterSim::drain`]); on the quorum path the parent
     /// completes when its **last** sub resolves (sojourn = max over the
-    /// quorum, since the merged event order is non-decreasing in time)
+    /// quorum, since the event order is non-decreasing in time)
     /// and fails if *any* sub failed.
     fn resolve_sub(&mut self, now: Nanos, id: u64, ok: bool) {
         if self.setting.is_plain() {
@@ -1082,11 +1029,13 @@ impl<'a> ClusterSim<'a> {
     /// and every in-service and queued sub-request they held resolves as
     /// failed — the redistribution drop spike — and the cache restarts
     /// cold. Wake-ups armed by the old timer fire against the fresh one,
-    /// where they are recognised as stale and drain nothing.
+    /// where they are recognised as stale and drain nothing. The old
+    /// timer's counters up to the kill stay in the run's core counters.
     fn fail_shard(&mut self, now: Nanos, shard: usize) {
         debug_assert!(self.alive[shard], "the fault plan kills a live shard");
         self.alive[shard] = false;
         let node = &mut self.shards[shard];
+        self.retired_timers = self.retired_timers.merged(node.completions.counters());
         let pending = std::mem::take(&mut node.completions).into_pending();
         let fresh = SlotPool::new(
             self.profile.servers,
@@ -1122,10 +1071,10 @@ impl<'a> ClusterSim<'a> {
     }
 
     /// Samples the next chunk of Poisson interarrival gaps, draws and
-    /// routes each arrival's key, and pushes one `Arrive` per gap onto
-    /// the target shard's core lane; reschedules itself after the
-    /// chunk's last arrival while arrivals remain.
-    fn generate(&mut self, now: Nanos, cores: &mut ShardedCores<Ev>, st: &mut ClusterState) {
+    /// routes each arrival's key, and pushes one `Arrive` per gap;
+    /// reschedules itself after the chunk's last arrival while arrivals
+    /// remain.
+    fn generate(&mut self, now: Nanos, queue: &mut EventQueue<Ev>, st: &mut ClusterState) {
         let n = self.remaining_arrivals.min(ARRIVAL_CHUNK);
         if n == 0 {
             return;
@@ -1135,11 +1084,11 @@ impl<'a> ClusterSim<'a> {
         let quorum = !self.setting.is_plain();
         for _ in 0..n {
             offset += Nanos::from_secs_f64(st.arrival_rng.exponential(1.0) / self.offered_per_sec);
-            let idx = self.next_arrival;
-            self.next_arrival += 1;
+            let idx = self.ledger.issued;
+            self.ledger.issued += 1;
             let key = self.draw_key(idx, &mut st.key_rng);
             if quorum {
-                self.generate_quorum(now + offset, idx, key, cores, st);
+                self.generate_quorum(now + offset, idx, key, queue, st);
                 continue;
             }
             let shard = self.route(key, idx);
@@ -1159,8 +1108,7 @@ impl<'a> ClusterSim<'a> {
                     o.instant(SpanKind::HandOff, idx, lane, now + offset);
                 }
             }
-            cores.push(
-                self.lane_of(shard),
+            queue.push(
                 now + offset,
                 Ev::Arrive {
                     shard: shard as u32,
@@ -1170,7 +1118,7 @@ impl<'a> ClusterSim<'a> {
             );
         }
         if self.remaining_arrivals > 0 {
-            cores.push(0, now + offset, Ev::Generate);
+            queue.push(now + offset, Ev::Generate);
         }
     }
 
@@ -1184,7 +1132,7 @@ impl<'a> ClusterSim<'a> {
         at: Nanos,
         idx: u64,
         key: u32,
-        cores: &mut ShardedCores<Ev>,
+        queue: &mut EventQueue<Ev>,
         st: &mut ClusterState,
     ) {
         let u = st.class_rng.uniform01();
@@ -1249,8 +1197,7 @@ impl<'a> ClusterSim<'a> {
                     o.instant(SpanKind::HandOff, idx, lane, at);
                 }
             }
-            cores.push(
-                self.lane_of(shard),
+            queue.push(
                 at,
                 Ev::Arrive {
                     shard: target,
@@ -1271,7 +1218,7 @@ impl<'a> ClusterSim<'a> {
         shard: usize,
         id: u64,
         key: u32,
-        cores: &mut ShardedCores<Ev>,
+        queue: &mut EventQueue<Ev>,
         st: &mut ClusterState,
     ) {
         self.shards[shard].arrivals += 1;
@@ -1291,7 +1238,7 @@ impl<'a> ClusterSim<'a> {
             return;
         }
         match self.shards[shard].pool.offer(0, now, req) {
-            Admission::Dispatched => self.dispatch(now, shard, req, cores, st),
+            Admission::Dispatched => self.dispatch(now, shard, req, queue, st),
             Admission::Queued => {}
             Admission::Dropped => {
                 if let Some(o) = self.obs.as_mut() {
@@ -1311,7 +1258,7 @@ impl<'a> ClusterSim<'a> {
     }
 
     /// Dispatch on a shard: sample the backend service time (from the
-    /// shared stream, in merged event order), run the sampled store
+    /// shared stream, in event order), run the sampled store
     /// operation against the shard's cache, and register the completion
     /// with the shard's batched timer.
     fn dispatch(
@@ -1319,7 +1266,7 @@ impl<'a> ClusterSim<'a> {
         now: Nanos,
         shard: usize,
         req: Req,
-        cores: &mut ShardedCores<Ev>,
+        queue: &mut EventQueue<Ev>,
         st: &mut ClusterState,
     ) {
         let mut service = self
@@ -1365,8 +1312,7 @@ impl<'a> ClusterSim<'a> {
             o.span(SpanKind::SlotService, req.id, lane, now, now + service);
         }
         if let Some(wake) = node.completions.schedule(now + service, req) {
-            cores.push(
-                self.lane_of(shard),
+            queue.push(
                 wake,
                 Ev::Drain {
                     shard: shard as u32,
@@ -1382,13 +1328,12 @@ impl<'a> ClusterSim<'a> {
         &mut self,
         now: Nanos,
         shard: usize,
-        cores: &mut ShardedCores<Ev>,
+        queue: &mut EventQueue<Ev>,
         st: &mut ClusterState,
     ) {
         let mut due = std::mem::take(&mut self.drain_buf);
         if let Some(wake) = self.shards[shard].completions.wake(now, &mut due) {
-            cores.push(
-                self.lane_of(shard),
+            queue.push(
                 wake,
                 Ev::Drain {
                     shard: shard as u32,
@@ -1415,20 +1360,19 @@ impl<'a> ClusterSim<'a> {
         due.clear();
         self.drain_buf = due;
         for (_, _, next) in dispatched.drain(..) {
-            self.dispatch(now, shard, next, cores, st);
+            self.dispatch(now, shard, next, queue, st);
         }
         self.dispatch_buf = dispatched;
     }
 
-    fn probe(&mut self, now: Nanos, remaining: u32, cores: &mut ShardedCores<Ev>) {
+    fn probe(&mut self, now: Nanos, remaining: u32, queue: &mut EventQueue<Ev>) {
         let in_flight: usize = self.shards.iter().map(|s| s.pool.in_flight()).sum();
         self.in_flight_probe.record(in_flight as f64);
         self.peak_in_flight = self.peak_in_flight.max(in_flight);
         if remaining > 1 {
             let window_secs = self.bench.requests_per_point as f64 / self.offered_per_sec;
             let period = Nanos::from_secs_f64(window_secs / 64.0);
-            cores.push(
-                0,
+            queue.push(
                 now + period,
                 Ev::Probe {
                     remaining: remaining - 1,
@@ -1437,15 +1381,39 @@ impl<'a> ClusterSim<'a> {
         }
     }
 
-    fn into_point(
-        self,
-        setting: &ClusterSetting,
-        offered_per_sec: f64,
-        end: Nanos,
-    ) -> ClusterPoint {
-        let issued = self.next_arrival;
-        debug_assert_eq!(issued, self.completed + self.dropped);
-        debug_assert_eq!(issued, self.issued_by_phase.iter().sum::<u64>());
+    /// The run's event-core counters: the event queue merged with every
+    /// shard's completion timer, retired ones included.
+    fn core_counters(&self, queue: &EventQueue<Ev>) -> CoreCounters {
+        self.shards
+            .iter()
+            .map(|s| s.completions.counters())
+            .fold(queue.counters().merged(self.retired_timers), |acc, c| {
+                acc.merged(c)
+            })
+    }
+
+    /// Checks request conservation and folds the run into its point.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the ledger or the per-phase tallies do not balance — a
+    /// leaked or double-resolved request is a simulator bug, caught in
+    /// release builds too.
+    fn into_point(self, queue: &EventQueue<Ev>) -> ClusterPoint {
+        let setting = self.setting;
+        let ledger = self.ledger;
+        ledger.assert_balanced(&setting.label(), Some(self.bench.requests_per_point as u64));
+        let issued = ledger.issued;
+        assert_eq!(
+            issued,
+            self.issued_by_phase.iter().sum::<u64>(),
+            "{ledger:?}"
+        );
+        assert_eq!(
+            ledger.dropped,
+            self.dropped_by_phase.iter().sum::<u64>(),
+            "{ledger:?}"
+        );
         let phase_rate = |phase: usize| {
             if self.issued_by_phase[phase] == 0 {
                 0.0
@@ -1461,7 +1429,7 @@ impl<'a> ClusterSim<'a> {
             .unwrap_or(0.0);
         let cdf = Cdf::from_samples(self.latencies_us)
             .expect("a sweep point always completes at least one request");
-        let duration = end.as_secs_f64().max(f64::MIN_POSITIVE);
+        let duration = queue.frontier().as_secs_f64().max(f64::MIN_POSITIVE);
         // The hottest shard by total arrivals anchors the tail story;
         // the steady-phase maximum anchors the placement-quality story.
         let hot = self
@@ -1495,8 +1463,8 @@ impl<'a> ClusterSim<'a> {
             label: setting.label(),
             shards: setting.shards,
             zipf_theta: setting.zipf_theta,
-            offered_per_sec,
-            achieved_per_sec: self.completed as f64 / duration,
+            offered_per_sec: self.offered_per_sec,
+            achieved_per_sec: ledger.completed as f64 / duration,
             p50_us: cdf.percentile(50.0),
             p95_us: cdf.percentile(95.0),
             p99_us: cdf.percentile(99.0),
@@ -1508,16 +1476,16 @@ impl<'a> ClusterSim<'a> {
             } else {
                 1.0
             },
-            drop_fraction: self.dropped as f64 / issued.max(1) as f64,
-            completed: self.completed,
-            dropped: self.dropped,
+            drop_fraction: ledger.dropped as f64 / issued.max(1) as f64,
+            completed: ledger.completed,
+            dropped: ledger.dropped,
             peak_in_flight: self.peak_in_flight,
             mean_in_flight: self.in_flight_probe.mean(),
             store_entries: stats.len as u64,
             store_bytes: stats.bytes as u64,
             store_evictions: stats.evictions,
             rebalanced: setting.route == RoutePolicy::Rebalance,
-            events: self.events,
+            events: queue.counters().pops,
             replicas: setting.replicas,
             write_quorum: setting.write_quorum,
             fanout: setting.fanout,
@@ -1590,94 +1558,56 @@ mod tests {
     }
 
     #[test]
-    fn results_are_identical_for_any_shard_core_count_and_window() {
-        // The tentpole invariance: the merged (timestamp, seq) order is
-        // a pure function of the push sequence, so neither the number of
-        // core lanes nor the lock-step window width may perturb any
-        // measurement.
-        let platform = PlatformId::Qemu.build();
-        let reference = ClusterBenchmark {
-            shard_cores: 1,
-            ..tiny(LoadBackend::Memcached)
-        };
-        let base = reference
-            .run_trial(&platform, &mut SimRng::seed_from(73))
-            .unwrap();
-        for shard_cores in [2usize, 4, 8] {
-            let bench = ClusterBenchmark {
-                shard_cores,
-                ..tiny(LoadBackend::Memcached)
-            };
-            let got = bench
-                .run_trial(&platform, &mut SimRng::seed_from(73))
-                .unwrap();
-            assert_eq!(base, got, "{shard_cores} shard cores diverged");
-        }
-        for window_us in [1u64, 10, 1_000, 100_000] {
-            let bench = ClusterBenchmark {
-                lockstep_window_us: window_us,
-                shard_cores: 1,
-                ..tiny(LoadBackend::Memcached)
-            };
-            let got = bench
-                .run_trial(&platform, &mut SimRng::seed_from(73))
-                .unwrap();
-            assert_eq!(base, got, "window {window_us} us diverged");
-        }
-    }
-
-    #[test]
-    fn tracing_is_observation_only_and_byte_identical_across_lane_counts() {
+    fn tracing_is_observation_only_and_attaches_core_counters() {
         use simcore::obs::ObsConfig;
-        // The recorder consumes no draws and the merged pop order is
-        // lane-count invariant, so the traced point equals the untraced
-        // one and both artifacts are byte-identical for any core count.
+        // The recorder consumes no draws, so the traced point equals the
+        // untraced one; the timeline carries the event-core counters.
         let platform = PlatformId::Qemu.build();
         let setting = ClusterSetting::rebalance(16);
-        let plain = ClusterBenchmark {
+        let bench = ClusterBenchmark {
             sweep: vec![setting],
             ..tiny(LoadBackend::Memcached)
-        }
-        .run_trial(&platform, &mut SimRng::seed_from(73))
-        .unwrap();
-        let mut artifacts: Vec<(String, String)> = Vec::new();
-        for shard_cores in [1usize, 2, 4, 8] {
-            let bench = ClusterBenchmark {
-                shard_cores,
-                sweep: vec![setting],
-                ..tiny(LoadBackend::Memcached)
-            };
-            let recorder = Recorder::try_new(ObsConfig::new(7, 0.25)).unwrap();
-            let (point, obs) = bench
-                .run_setting(
-                    &platform,
-                    &setting,
-                    &mut SimRng::seed_from(73),
-                    Some(recorder),
-                )
-                .unwrap();
-            let obs = obs.expect("the recorder threads through the run");
-            assert_eq!(plain[0], point, "{shard_cores} lanes: tracing perturbed");
-            assert!(obs.spans_accepted() > 0);
-            artifacts.push((
-                obs.chrome_trace_json("cluster"),
-                obs.timeline_json("cluster", 73),
-            ));
-        }
-        for (i, a) in artifacts.iter().enumerate().skip(1) {
-            assert_eq!(artifacts[0].0, a.0, "chrome trace diverged at lane set {i}");
-            assert_eq!(artifacts[0].1, a.1, "timeline diverged at lane set {i}");
-        }
-        let (trace, timeline) = &artifacts[0];
+        };
+        let plain = bench
+            .run_trial(&platform, &mut SimRng::seed_from(73))
+            .unwrap();
+        let recorder = Recorder::try_new(ObsConfig::new(7, 0.25)).unwrap();
+        let (point, obs) = bench
+            .run_setting(
+                &platform,
+                &setting,
+                &mut SimRng::seed_from(73),
+                Some(recorder),
+            )
+            .unwrap();
+        let obs = obs.expect("the recorder threads through the run");
+        assert_eq!(plain[0], point, "tracing perturbed the point");
+        assert!(obs.spans_accepted() > 0);
+        let trace = obs.chrome_trace_json("cluster");
+        let timeline = obs.timeline_json("cluster", 73);
         assert!(trace.contains("\"route\""), "router instants missing");
         assert!(
             trace.contains("\"hand-off\""),
             "resharded hot keys must record hand-offs"
         );
         assert!(timeline.contains("\"shard0\"") && timeline.contains("\"shard15\""));
+        assert_core_counters_cover_the_timers(&timeline, &point);
+    }
+
+    /// The timeline's core block folds the completion timers into the
+    /// event queue: pushes bound pops, and pops exceed the queue's own.
+    fn assert_core_counters_cover_the_timers(timeline: &str, point: &ClusterPoint) {
+        let counter = |key: &str| -> u64 {
+            let pat = format!("\"{key}\": ");
+            let rest = &timeline[timeline.find(&pat).expect("core block attached") + pat.len()..];
+            rest[..rest.find(|c: char| !c.is_ascii_digit()).unwrap()]
+                .parse()
+                .unwrap()
+        };
+        let (pushes, pops) = (counter("pushes"), counter("pops"));
         assert!(
-            !timeline.contains("\"core\""),
-            "cluster timelines must not attach lane-dependent core counters"
+            pushes >= pops && pops > point.events,
+            "{pushes}/{pops}: {point:?}"
         );
     }
 
@@ -1871,47 +1801,25 @@ mod tests {
     }
 
     #[test]
-    fn failover_sweep_conserves_requests_and_stays_lane_invariant() {
+    fn failover_sweep_conserves_requests() {
         let platform = PlatformId::Qemu.build();
-        let reference = ClusterBenchmark {
-            shard_cores: 1,
+        let bench = ClusterBenchmark {
             sweep: ClusterSetting::failover_sweep(),
             ..tiny(LoadBackend::Memcached)
         };
-        let base = reference
+        let points = bench
             .run_trial(&platform, &mut SimRng::seed_from(78))
             .unwrap();
-        for p in &base {
+        for p in &points {
             // Conservation across the failure boundary: every issued
             // request resolves exactly once, as a completion or a drop.
             assert_eq!(
                 p.completed + p.dropped,
-                reference.requests_per_point as u64,
+                bench.requests_per_point as u64,
                 "{}",
                 p.label
             );
             assert!(p.p50_us <= p.p95_us && p.p95_us <= p.p99_us, "{}", p.label);
-        }
-        for shard_cores in [2usize, 4, 8] {
-            let bench = ClusterBenchmark {
-                shard_cores,
-                ..reference.clone()
-            };
-            let got = bench
-                .run_trial(&platform, &mut SimRng::seed_from(78))
-                .unwrap();
-            assert_eq!(base, got, "{shard_cores} shard cores diverged");
-        }
-        for window_us in [1u64, 1_000, 100_000] {
-            let bench = ClusterBenchmark {
-                lockstep_window_us: window_us,
-                shard_cores: 1,
-                ..reference.clone()
-            };
-            let got = bench
-                .run_trial(&platform, &mut SimRng::seed_from(78))
-                .unwrap();
-            assert_eq!(base, got, "window {window_us} us diverged");
         }
     }
 
@@ -2000,6 +1908,7 @@ mod tests {
             .unwrap();
         let obs = obs.expect("the recorder threads through the run");
         assert_eq!(untraced[0], point, "tracing perturbed the failover point");
+        assert_core_counters_cover_the_timers(&obs.timeline_json("cluster_failover", 81), &point);
         let trace = obs.chrome_trace_json("cluster_failover");
         assert!(trace.contains("\"route\""), "router instants missing");
         assert!(

@@ -185,6 +185,22 @@ pub(crate) struct Ledger {
     pub(crate) dropped: u64,
 }
 
+impl Ledger {
+    /// Asserts that every issued request ended up in exactly one bucket
+    /// and, for a count-bounded source, that exactly `requests` were
+    /// issued. `who` names the ledger in the panic message.
+    pub(crate) fn assert_balanced(&self, who: &str, requests: Option<u64>) {
+        assert_eq!(
+            self.issued,
+            self.completed + self.short_circuited + self.dropped,
+            "{who} leaked requests: {self:?}"
+        );
+        if let Some(requests) = requests {
+            assert_eq!(self.issued, requests, "{who} under-issued: {self:?}");
+        }
+    }
+}
+
 /// The measured outcome of one class.
 #[derive(Default)]
 pub(crate) struct ClassOutcome {
@@ -504,15 +520,12 @@ impl Engine {
             .enumerate()
             .map(|(i, rt)| {
                 let l = rt.out.ledger;
-                assert_eq!(
-                    l.issued,
-                    l.completed + l.short_circuited + l.dropped,
-                    "class {i} leaked requests: {l:?}"
-                );
+                let requests = match rt.class.arrivals {
+                    Arrivals::Counted { requests, .. } => Some(requests),
+                    _ => None,
+                };
+                l.assert_balanced(&format!("class {i}"), requests);
                 assert_eq!(self.pool.counters(i).dropped, l.dropped, "class {i}");
-                if let Arrivals::Counted { requests, .. } = rt.class.arrivals {
-                    assert_eq!(l.issued, requests, "class {i} under-issued: {l:?}");
-                }
                 ClassOutcome {
                     store: rt.backend.store_stats(),
                     ..rt.out

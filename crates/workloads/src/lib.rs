@@ -33,9 +33,8 @@
 //! workloads (victim-vs-aggressor sweeps, SLO violations, isolation
 //! indices). [`cluster`] scales from the node to the fleet: a routing tier
 //! hashes Zipf-skewed keys over N backend shards, each with its own
-//! admission queue, slot pool and store cache on its own event-core lane,
-//! advancing in deterministic bounded lock-step — sweeping shard count,
-//! skew and rebalancing policy. All four sweep workloads implement the
+//! admission queue, slot pool and store cache, all on one typed event
+//! queue — sweeping shard count, skew and rebalancing policy. All four sweep workloads implement the
 //! [`bench::WorkloadBenchmark`] trait, the grid's one dispatch surface.
 
 // No unsafe anywhere in the simulation layers: the bit-identical replay

@@ -3,6 +3,8 @@
 //! bit-identical results across executor worker counts, and the
 //! monotone response of the hot shard's load share to Zipf skew.
 
+mod common;
+
 use std::sync::OnceLock;
 
 use isolation_bench::harness::grid;
@@ -22,13 +24,18 @@ const SCALE_LABELS: [&str; 5] = ["s1", "s4", "s16", "s64", "s256"];
 const POLICY_LABELS: [&str; 2] = ["s16 pinned", "s16 rebal"];
 
 /// The serial reference figures, computed once: they are a pure function
-/// of the fixed seed, and every test in this file reads them.
+/// of the fixed seed, every test in this file reads them, and each must
+/// match its golden digest.
 fn cluster_figures() -> &'static Vec<FigureData> {
     static FIGURES: OnceLock<Vec<FigureData>> = OnceLock::new();
     FIGURES.get_or_init(|| {
         EXPERIMENTS
             .iter()
-            .map(|e| figures::run(*e, &cfg()))
+            .map(|e| {
+                let fig = figures::run(*e, &cfg());
+                common::assert_golden(&fig);
+                fig
+            })
             .collect()
     })
 }

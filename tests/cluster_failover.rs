@@ -4,6 +4,8 @@
 //! must cover every platform × failover metric at every quorum,
 //! scatter and kill setting.
 
+mod common;
+
 use std::sync::OnceLock;
 
 use isolation_bench::harness::grid;
@@ -35,13 +37,18 @@ const SETTING_LABELS: [&str; 10] = [
 ];
 
 /// The serial reference figures, computed once: they are a pure function
-/// of the fixed seed, and every test in this file reads them.
+/// of the fixed seed, every test in this file reads them, and each must
+/// match its golden digest.
 fn failover_figures() -> &'static Vec<FigureData> {
     static FIGURES: OnceLock<Vec<FigureData>> = OnceLock::new();
     FIGURES.get_or_init(|| {
         EXPERIMENTS
             .iter()
-            .map(|e| figures::run(*e, &cfg()))
+            .map(|e| {
+                let fig = figures::run(*e, &cfg());
+                common::assert_golden(&fig);
+                fig
+            })
             .collect()
     })
 }

@@ -373,9 +373,9 @@ proptest! {
         cores in 1usize..9,
         ops in prop::collection::vec((any::<bool>(), 0u64..200_000), 1..300),
     ) {
-        // The cluster's lock-step group must be a pure partition of one
-        // merged event core: for any interleaving of pushes (to the lane
-        // the tag hashes to) and pops, an N-core group pops exactly the
+        // A sharded core group must be a pure partition of one merged
+        // event core: for any interleaving of pushes (to the core the
+        // tag hashes to) and pops, an N-core group pops exactly the
         // `(timestamp, seq)` order a single core defines, pop for pop.
         // Both structures clamp past-due pushes to their frontier, so the
         // equivalence holds inductively only if the frontiers never
