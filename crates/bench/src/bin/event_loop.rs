@@ -9,10 +9,12 @@
 //! sequence into an FNV-1a digest; the digests must match, proving the
 //! wheel pops the identical order the heap defines.
 //!
-//! Writes `BENCH_event_loop.json` with per-implementation events/sec, the
-//! wheel/heap speedup ratio and the order-equivalence digests. Exits
-//! non-zero when the digests disagree or, with `--baseline`, when the
-//! wheel's throughput or speedup falls below the checked-in floor — the
+//! After a warm-up, runs 5 measured wheel-then-heap drive pairs and
+//! writes `BENCH_event_loop.json` with the median per-implementation
+//! events/sec, the median of the per-pair wheel/heap speedups, every
+//! pair's samples and the order-equivalence digests. Exits non-zero when
+//! the digests disagree or, with `--baseline`, when the median wheel
+//! throughput or median speedup falls below the checked-in floor — the
 //! CI `bench-perf` job gates on that.
 //!
 //! Run with: `cargo run --release -p bench --bin event_loop`
@@ -29,6 +31,7 @@
 use std::time::Instant;
 
 use harness::cli::{flag_value, parse_count};
+use simcore::stats::Cdf;
 use simcore::{EventQueue, Nanos, ReferenceHeap, SimRng};
 
 /// One measured drive of an event-queue implementation.
@@ -124,6 +127,26 @@ fn drive<Q: EventSink>(queue: &mut Q, events: u64, pending: u64, seed: u64) -> D
     }
 }
 
+/// Measured wheel/heap drive pairs after the warm-up. The gate reads the
+/// medians over the pairs, so one cold or preempted drive cannot fail it
+/// on its own.
+const PAIRS: usize = 5;
+
+/// One measured pair: a wheel drive, then a heap drive.
+type Pair = (Drive, Drive);
+
+/// The pair's wheel/heap throughput ratio.
+fn pair_speedup((wheel, heap): &Pair) -> f64 {
+    wheel.events_per_sec() / heap.events_per_sec().max(f64::MIN_POSITIVE)
+}
+
+/// Median (nearest rank) of `f` over the measured pairs.
+fn median_by(pairs: &[Pair], f: impl Fn(&Pair) -> f64) -> f64 {
+    Cdf::from_samples(pairs.iter().map(f).collect())
+        .expect("at least one measured pair")
+        .median()
+}
+
 /// Extracts the number following `"key":` from a flat JSON object — the
 /// same hand-rolled JSON handling the rest of the workspace uses (the
 /// vendored stand-ins ship no JSON parser).
@@ -165,51 +188,65 @@ fn main() {
         seed,
     );
 
-    eprintln!("event_loop: {mode} drive, {events} events over {pending} pending, seed {seed}");
-    let wheel = drive(&mut EventQueue::new(), events, pending, seed);
-    let heap = drive(&mut ReferenceHeap::new(), events, pending, seed);
+    eprintln!(
+        "event_loop: {mode} drive, {PAIRS} wheel/heap pairs of {events} events over \
+         {pending} pending, seed {seed}"
+    );
+    let pairs: Vec<Pair> = (0..PAIRS)
+        .map(|_| {
+            let wheel = drive(&mut EventQueue::new(), events, pending, seed);
+            let heap = drive(&mut ReferenceHeap::new(), events, pending, seed);
+            (wheel, heap)
+        })
+        .collect();
+    let wheel_eps = median_by(&pairs, |(w, _)| w.events_per_sec());
+    let wheel_ms = median_by(&pairs, |(w, _)| w.elapsed_secs * 1e3);
+    let heap_eps = median_by(&pairs, |(_, h)| h.events_per_sec());
+    let heap_ms = median_by(&pairs, |(_, h)| h.elapsed_secs * 1e3);
+    let speedup = median_by(&pairs, pair_speedup);
+    let (wheel_digest, heap_digest) = (pairs[0].0.digest, pairs[0].1.digest);
+    let order_equivalent = pairs
+        .iter()
+        .all(|(w, h)| w.digest == wheel_digest && h.digest == wheel_digest);
 
-    let speedup = wheel.events_per_sec() / heap.events_per_sec().max(f64::MIN_POSITIVE);
-    let order_equivalent = wheel.digest == heap.digest;
-
+    let samples = pairs
+        .iter()
+        .map(|pair| {
+            format!(
+                "    {{ \"wheel_events_per_sec\": {:.1}, \"heap_events_per_sec\": {:.1}, \
+                 \"speedup\": {:.3} }}",
+                pair.0.events_per_sec(),
+                pair.1.events_per_sec(),
+                pair_speedup(pair)
+            )
+        })
+        .collect::<Vec<_>>()
+        .join(",\n");
     let json = format!(
         "{{\n  \"name\": \"event_loop\",\n  \"mode\": \"{mode}\",\n  \"seed\": {seed},\n  \
-         \"events\": {events},\n  \"pending\": {pending},\n  \"wheel\": {{\n    \
-         \"events_per_sec\": {:.1},\n    \"elapsed_ms\": {:.3},\n    \"digest\": \"{:#018x}\"\n  }},\n  \
-         \"heap\": {{\n    \"events_per_sec\": {:.1},\n    \"elapsed_ms\": {:.3},\n    \
-         \"digest\": \"{:#018x}\"\n  }},\n  \"speedup\": {:.3},\n  \"order_equivalent\": {}\n}}\n",
-        wheel.events_per_sec(),
-        wheel.elapsed_secs * 1e3,
-        wheel.digest,
-        heap.events_per_sec(),
-        heap.elapsed_secs * 1e3,
-        heap.digest,
-        speedup,
-        order_equivalent,
+         \"events\": {events},\n  \"pending\": {pending},\n  \"pairs\": {PAIRS},\n  \"wheel\": {{\n    \
+         \"events_per_sec\": {wheel_eps:.1},\n    \"elapsed_ms\": {wheel_ms:.3},\n    \
+         \"digest\": \"{wheel_digest:#018x}\"\n  }},\n  \"heap\": {{\n    \
+         \"events_per_sec\": {heap_eps:.1},\n    \"elapsed_ms\": {heap_ms:.3},\n    \
+         \"digest\": \"{heap_digest:#018x}\"\n  }},\n  \"speedup\": {speedup:.3},\n  \
+         \"order_equivalent\": {order_equivalent},\n  \"samples\": [\n{samples}\n  ]\n}}\n",
     );
     std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
 
-    println!("| impl | events/sec | elapsed (ms) | digest |");
+    println!("| impl | median events/sec | median elapsed (ms) | digest |");
     println!("|---|---|---|---|");
+    println!("| timing wheel | {wheel_eps:.0} | {wheel_ms:.1} | {wheel_digest:#018x} |");
+    println!("| reference heap | {heap_eps:.0} | {heap_ms:.1} | {heap_digest:#018x} |");
     println!(
-        "| timing wheel | {:.0} | {:.1} | {:#018x} |",
-        wheel.events_per_sec(),
-        wheel.elapsed_secs * 1e3,
-        wheel.digest
+        "\nmedian speedup over {PAIRS} pairs: {speedup:.2}x; order equivalent: \
+         {order_equivalent}; report: {out_path}"
     );
-    println!(
-        "| reference heap | {:.0} | {:.1} | {:#018x} |",
-        heap.events_per_sec(),
-        heap.elapsed_secs * 1e3,
-        heap.digest
-    );
-    println!("\nspeedup: {speedup:.2}x; order equivalent: {order_equivalent}; report: {out_path}");
 
     let mut failures = Vec::new();
     if !order_equivalent {
         failures.push(format!(
-            "wheel digest {:#018x} != heap digest {:#018x}: pop orders diverge",
-            wheel.digest, heap.digest
+            "wheel digest {wheel_digest:#018x} != heap digest {heap_digest:#018x} (or a pair \
+             disagreed with the first): pop orders diverge"
         ));
     }
     if let Some(path) = flag_value(&args, "--baseline") {
@@ -220,19 +257,19 @@ fn main() {
         let min_speedup = json_number(&baseline, &format!("{mode}_min_speedup"))
             .unwrap_or_else(|| panic!("baseline {path} lacks {mode}_min_speedup"));
         println!(
-            "baseline ({mode}): min {min_eps:.0} events/sec (wheel {:.0}), \
-             min speedup {min_speedup:.2}x (measured {speedup:.2}x)",
-            wheel.events_per_sec()
+            "baseline ({mode}): min {min_eps:.0} events/sec (wheel median {wheel_eps:.0}), \
+             min speedup {min_speedup:.2}x (median {speedup:.2}x)"
         );
-        if wheel.events_per_sec() < min_eps {
+        if wheel_eps < min_eps {
             failures.push(format!(
-                "wheel throughput {:.0} events/sec regressed below the baseline floor {min_eps:.0}",
-                wheel.events_per_sec()
+                "median wheel throughput {wheel_eps:.0} events/sec regressed below the \
+                 baseline floor {min_eps:.0}"
             ));
         }
         if speedup < min_speedup {
             failures.push(format!(
-                "wheel speedup {speedup:.2}x fell below the baseline floor {min_speedup:.2}x"
+                "median wheel speedup {speedup:.2}x fell below the baseline floor \
+                 {min_speedup:.2}x"
             ));
         }
     }

@@ -59,7 +59,7 @@ pub use error::SimError;
 pub use events::{CoreCounters, EventQueue, ReferenceHeap, ShardedCores, Simulation};
 pub use obs::{ObsConfig, Recorder, Span, SpanKind};
 pub use resource::{Bandwidth, QueueModel, TokenBucket};
-pub use rng::SimRng;
+pub use rng::{SimRng, Zipf};
 pub use stats::{Cdf, Histogram, RunningStats, Summary};
 pub use time::Nanos;
 

@@ -3,6 +3,12 @@
 //! Every experiment in the harness derives all of its stochastic behaviour
 //! from a single root seed, split per platform and per run, so two
 //! invocations with the same seed produce bit-identical figures.
+//!
+//! Zipfian key popularity has two entry points: [`Zipf`] precomputes the
+//! distribution once for loops that draw many ranks from it, and
+//! [`SimRng::zipf`] is the one-shot form, O(n) per call.
+
+use crate::{Result, SimError};
 
 /// One splitmix64 step: advances the state and returns the mixed output.
 /// This is the same finalizer [`SimRng::seed_from`] uses for state
@@ -216,37 +222,118 @@ impl SimRng {
         x_m / u.powf(1.0 / alpha)
     }
 
-    /// Zipfian rank sample over `n` items with skew `theta` (0 = uniform).
+    /// One-shot Zipfian rank sample over `n` items with skew `theta`
+    /// (0 = uniform); see [`Zipf`] for the distribution.
     ///
-    /// Uses the rejection-free approximation from Gray et al. that the YCSB
-    /// workload generator is also based on, so the key-popularity profile of
-    /// the Memcached experiment matches the original benchmark.
+    /// This builds a fresh [`Zipf`] per call, which sums the O(n)
+    /// normalizer every time; loops that draw many ranks from one
+    /// distribution build a [`Zipf`] once and call [`Zipf::sample`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `theta` is outside the domain [`Zipf::new`] accepts.
     pub fn zipf(&mut self, n: usize, theta: f64) -> usize {
-        if n <= 1 {
-            return 0;
-        }
-        if theta <= 0.0 {
-            return self.index(n);
-        }
-        let n_f = n as f64;
-        let zetan: f64 = (1..=n).map(|i| 1.0 / (i as f64).powf(theta)).sum();
-        let alpha = 1.0 / (1.0 - theta);
-        let eta = (1.0 - (2.0 / n_f).powf(1.0 - theta)) / (1.0 - zeta(2, theta) / zetan);
-        let u = self.uniform01();
-        let uz = u * zetan;
-        if uz < 1.0 {
-            return 0;
-        }
-        if uz < 1.0 + 0.5_f64.powf(theta) {
-            return 1;
-        }
-        let rank = (n_f * (eta * u - eta + 1.0).powf(alpha)) as usize;
-        rank.min(n - 1)
+        Zipf::new(n, theta)
+            .expect("Zipf skew must be finite and lie in [0, 1)")
+            .sample(self)
     }
 }
 
-fn zeta(n: usize, theta: f64) -> f64 {
-    (1..=n).map(|i| 1.0 / (i as f64).powf(theta)).sum()
+/// A Zipfian rank distribution over `n` items with skew `theta`
+/// (0 = uniform), its normalizer precomputed.
+///
+/// Uses the rejection-free approximation from Gray et al. that the YCSB
+/// workload generator is also based on, so the key-popularity profile of
+/// the Memcached experiment matches the original benchmark. Construction
+/// sums the O(n) normalizer ζ(n, θ) once; each [`Zipf::sample`] is then
+/// one uniform draw and O(1) float work.
+///
+/// # Example
+///
+/// ```
+/// use simcore::{SimRng, Zipf};
+///
+/// let keys = Zipf::new(2_000, 0.99).unwrap();
+/// let mut rng = SimRng::seed_from(7);
+/// let ranks: Vec<usize> = (0..100).map(|_| keys.sample(&mut rng)).collect();
+/// assert!(ranks.iter().all(|&r| r < 2_000));
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct Zipf {
+    n: usize,
+    theta: f64,
+    /// The normalizer ζ(n, θ).
+    zetan: f64,
+    /// `1 / (1 - θ)`, the exponent of the rank transform.
+    alpha: f64,
+    /// Gray et al.'s η, scaling the uniform draw in the rank transform.
+    eta: f64,
+    /// Scaled draws below this (`1 + 0.5^θ`) but at least 1 are rank 1.
+    rank1_below: f64,
+}
+
+impl Zipf {
+    /// Checks that `theta` is a usable skew: finite and in `[0, 1)`. At
+    /// θ = 1 the rank exponent `1 / (1 - θ)` is infinite and the
+    /// approximation degenerates to ranks 0, 1 and `n - 1` only.
+    pub fn validate_theta(theta: f64) -> Result<()> {
+        if theta.is_finite() && (0.0..1.0).contains(&theta) {
+            Ok(())
+        } else {
+            Err(SimError::InvalidConfig(format!(
+                "Zipf skew must be finite and lie in [0, 1), got {theta}"
+            )))
+        }
+    }
+
+    /// Precomputes the distribution over `n` items (`n <= 1` always
+    /// samples rank 0) with skew `theta`.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::InvalidConfig`] if `theta` fails
+    /// [`Zipf::validate_theta`].
+    pub fn new(n: usize, theta: f64) -> Result<Zipf> {
+        Self::validate_theta(theta)?;
+        let mut zipf = Zipf {
+            n,
+            theta,
+            zetan: 0.0,
+            alpha: 0.0,
+            eta: 0.0,
+            rank1_below: 0.0,
+        };
+        if n > 1 && theta > 0.0 {
+            let zeta = |m: usize| -> f64 { (1..=m).map(|i| 1.0 / (i as f64).powf(theta)).sum() };
+            zipf.zetan = zeta(n);
+            zipf.alpha = 1.0 / (1.0 - theta);
+            zipf.eta = (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta(2) / zipf.zetan);
+            zipf.rank1_below = 1.0 + 0.5_f64.powf(theta);
+        }
+        Ok(zipf)
+    }
+
+    /// Draws one rank in `[0, n)` (0 when `n <= 1`, without consuming a
+    /// draw). A positive skew consumes one `uniform01` draw; θ = 0 is one
+    /// uniform [`SimRng::index`] draw.
+    pub fn sample(&self, rng: &mut SimRng) -> usize {
+        if self.n <= 1 {
+            return 0;
+        }
+        if self.theta <= 0.0 {
+            return rng.index(self.n);
+        }
+        let u = rng.uniform01();
+        let uz = u * self.zetan;
+        if uz < 1.0 {
+            return 0;
+        }
+        if uz < self.rank1_below {
+            return 1;
+        }
+        let rank = (self.n as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as usize;
+        rank.min(self.n - 1)
+    }
 }
 
 #[cfg(test)]
@@ -410,6 +497,168 @@ mod tests {
             }
         }
         assert!(low < n / 5, "{low} of {n} samples in first decile");
+    }
+
+    /// The first 64 ranks `SimRng::seed_from(2021)` drew from the per-call
+    /// sampler before [`Zipf`] precomputed it, per `(n, theta)`. Any
+    /// change here moves fig16 and the cluster key streams.
+    const PINNED_ZIPF: [(usize, f64, [u16; 64]); 12] = [
+        (
+            1,
+            0.0,
+            [
+                0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                0, 0, 0, 0, 0, 0, 0, 0,
+            ],
+        ),
+        (
+            1,
+            0.5,
+            [
+                0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                0, 0, 0, 0, 0, 0, 0, 0,
+            ],
+        ),
+        (
+            1,
+            0.99,
+            [
+                0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                0, 0, 0, 0, 0, 0, 0, 0,
+            ],
+        ),
+        (
+            2,
+            0.0,
+            [
+                0, 1, 0, 1, 1, 0, 1, 1, 1, 1, 0, 1, 1, 0, 0, 1, 0, 0, 0, 1, 0, 0, 1, 0, 1, 0, 1, 1,
+                1, 0, 0, 0, 0, 1, 1, 1, 0, 1, 1, 1, 0, 1, 0, 0, 0, 0, 1, 1, 1, 1, 0, 1, 1, 0, 0, 0,
+                1, 0, 1, 0, 0, 0, 0, 0,
+            ],
+        ),
+        (
+            2,
+            0.5,
+            [
+                1, 1, 0, 1, 1, 0, 1, 1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 0, 1, 0, 0, 1, 1, 1, 1, 0, 0,
+                1, 1, 0, 1, 1, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 1, 1, 1, 0, 1, 1, 0, 1, 1, 0, 0, 0, 0,
+                1, 0, 0, 0, 1, 0, 0, 1,
+            ],
+        ),
+        (
+            2,
+            0.99,
+            [
+                1, 1, 0, 1, 1, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 0, 1, 1, 1, 1, 0, 0,
+                1, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0,
+                1, 0, 0, 0, 0, 0, 0, 0,
+            ],
+        ),
+        (
+            16,
+            0.0,
+            [
+                2, 1, 14, 5, 13, 0, 15, 11, 11, 11, 0, 13, 15, 8, 10, 15, 4, 10, 2, 11, 4, 4, 3, 6,
+                9, 8, 3, 15, 9, 0, 12, 10, 4, 13, 1, 13, 10, 1, 1, 3, 14, 11, 0, 10, 8, 10, 13, 15,
+                13, 15, 10, 5, 11, 8, 14, 12, 9, 0, 11, 10, 4, 12, 10, 4,
+            ],
+        ),
+        (
+            16,
+            0.5,
+            [
+                10, 8, 5, 14, 12, 4, 13, 12, 0, 3, 5, 6, 1, 0, 6, 5, 4, 10, 2, 12, 5, 0, 8, 14, 14,
+                13, 5, 1, 10, 6, 3, 8, 15, 0, 0, 0, 2, 6, 7, 2, 2, 2, 1, 9, 14, 10, 1, 6, 12, 4,
+                10, 7, 0, 0, 1, 6, 8, 0, 1, 3, 7, 4, 4, 7,
+            ],
+        ),
+        (
+            16,
+            0.99,
+            [
+                7, 5, 2, 12, 9, 2, 11, 9, 0, 1, 2, 3, 0, 0, 3, 2, 2, 7, 1, 9, 2, 0, 5, 13, 12, 11,
+                3, 0, 7, 3, 1, 5, 14, 0, 0, 0, 0, 3, 4, 1, 0, 1, 0, 6, 13, 7, 0, 3, 10, 2, 7, 4, 0,
+                0, 0, 3, 4, 0, 0, 1, 4, 2, 2, 4,
+            ],
+        ),
+        (
+            2000,
+            0.0,
+            [
+                1490, 161, 110, 389, 93, 1264, 943, 1963, 875, 1083, 512, 829, 751, 232, 570, 1599,
+                708, 1386, 1410, 59, 1860, 980, 1955, 646, 1449, 1864, 1667, 1487, 761, 608, 252,
+                10, 356, 1021, 1473, 1677, 1978, 1713, 113, 1315, 1710, 1003, 736, 1674, 936, 970,
+                29, 1343, 1389, 1023, 1418, 165, 763, 456, 1182, 1356, 249, 240, 571, 1514, 20,
+                172, 378, 1348,
+            ],
+        ),
+        (
+            2000,
+            0.5,
+            [
+                1283, 1000, 587, 1738, 1506, 488, 1659, 1484, 16, 362, 570, 658, 98, 6, 735, 559,
+                462, 1265, 242, 1482, 607, 0, 1002, 1783, 1772, 1682, 618, 83, 1285, 711, 338,
+                1009, 1919, 21, 22, 2, 161, 714, 865, 188, 179, 205, 82, 1094, 1827, 1278, 125,
+                738, 1529, 409, 1268, 853, 4, 11, 139, 688, 926, 30, 103, 294, 844, 415, 400, 800,
+            ],
+        ),
+        (
+            2000,
+            0.99,
+            [
+                385, 175, 43, 1144, 671, 28, 958, 636, 0, 15, 40, 56, 2, 0, 74, 38, 25, 366, 8,
+                633, 46, 0, 176, 1263, 1234, 1009, 48, 2, 387, 68, 14, 180, 1691, 0, 0, 0, 4, 69,
+                115, 5, 5, 6, 2, 230, 1390, 380, 3, 75, 708, 20, 369, 110, 0, 0, 3, 63, 140, 0, 2,
+                11, 108, 20, 19, 93,
+            ],
+        ),
+    ];
+
+    fn pinned_ranks(mut draw: impl FnMut(&mut SimRng) -> usize) -> Vec<u16> {
+        let mut rng = SimRng::seed_from(2021);
+        (0..64).map(|_| draw(&mut rng) as u16).collect()
+    }
+
+    #[test]
+    fn precomputed_zipf_reproduces_the_pinned_ranks() {
+        for (n, theta, expected) in PINNED_ZIPF {
+            let zipf = Zipf::new(n, theta).unwrap();
+            let got = pinned_ranks(|rng| zipf.sample(rng));
+            assert_eq!(got, expected, "n = {n}, theta = {theta}");
+        }
+    }
+
+    #[test]
+    fn one_shot_zipf_reproduces_the_pinned_ranks() {
+        for (n, theta, expected) in PINNED_ZIPF {
+            let got = pinned_ranks(|rng| rng.zipf(n, theta));
+            assert_eq!(got, expected, "n = {n}, theta = {theta}");
+        }
+    }
+
+    #[test]
+    fn zipf_rejects_skews_outside_zero_to_one() {
+        for theta in [f64::NAN, f64::INFINITY, -0.1, 1.0, 1.5] {
+            assert!(
+                matches!(Zipf::new(100, theta), Err(SimError::InvalidConfig(_))),
+                "theta = {theta} must be rejected"
+            );
+        }
+    }
+
+    #[test]
+    fn zipf_accepts_zero_skew_and_degenerate_item_counts() {
+        assert!(Zipf::new(100, 0.0).is_ok());
+        let mut rng = SimRng::seed_from(8);
+        for n in [0, 1] {
+            for theta in [0.0, 0.5, 0.99] {
+                let zipf = Zipf::new(n, theta).unwrap();
+                assert_eq!(zipf.sample(&mut rng), 0);
+            }
+        }
     }
 
     #[test]

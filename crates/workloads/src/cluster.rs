@@ -68,7 +68,7 @@ use simcore::events::CoreCounters;
 use simcore::obs::{Recorder, SpanKind};
 use simcore::resource::CompletionTimer;
 use simcore::stats::{Cdf, RunningStats};
-use simcore::{EventQueue, Nanos, SimRng};
+use simcore::{EventQueue, Nanos, SimRng, Zipf};
 
 use crate::engine::{Ledger, ARRIVAL_CHUNK};
 use crate::slots::{
@@ -417,12 +417,7 @@ impl ClusterBenchmark {
                 "cluster points need at least one shard".into(),
             ));
         }
-        if !setting.zipf_theta.is_finite() || !(0.0..1.0).contains(&setting.zipf_theta) {
-            return Err(SimError::InvalidConfig(format!(
-                "cluster Zipf skew must lie in [0, 1), got {}",
-                setting.zipf_theta
-            )));
-        }
+        Zipf::validate_theta(setting.zipf_theta)?;
         if setting.quorum {
             if setting.route != RoutePolicy::Hashed {
                 return Err(SimError::InvalidConfig(
@@ -768,6 +763,8 @@ struct ClusterSim<'a> {
     bench: &'a ClusterBenchmark,
     profile: ServiceProfile,
     setting: ClusterSetting,
+    /// Rank distribution of the hot-set key draw.
+    hot_ranks: Zipf,
     offered_per_sec: f64,
     shards: Vec<ShardNode>,
     /// Request-level conservation ledger; `issued` doubles as the arrival
@@ -872,6 +869,7 @@ impl<'a> ClusterSim<'a> {
             bench,
             profile: *profile,
             setting: *setting,
+            hot_ranks: Zipf::new(bench.hot_keys, setting.zipf_theta)?,
             offered_per_sec,
             shards,
             ledger: Ledger::default(),
@@ -949,7 +947,7 @@ impl<'a> ClusterSim<'a> {
     /// keeping the key stream aligned across sweep points.
     fn draw_key(&self, idx: u64, rng: &mut SimRng) -> u32 {
         if rng.chance(self.bench.hot_fraction) {
-            let rank = rng.zipf(self.bench.hot_keys, self.setting.zipf_theta) as u64;
+            let rank = self.hot_ranks.sample(rng) as u64;
             ((self.hot_base(idx) + rank) % self.bench.keys as u64) as u32
         } else {
             rng.index(self.bench.keys) as u32

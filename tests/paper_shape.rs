@@ -3,6 +3,8 @@
 
 use isolation_bench::prelude::*;
 
+mod common;
+
 fn cfg() -> RunConfig {
     RunConfig::quick(2021)
 }
@@ -68,6 +70,7 @@ fn every_figure_generates_non_empty_markdown_and_csv() {
         );
         assert!(csv.lines().count() > 1, "{:?} csv empty", figure.experiment);
         assert!(!figure.series.is_empty());
+        common::assert_golden(&figure);
     }
 }
 

@@ -8,7 +8,7 @@ use isolation_bench::platforms::PlatformId;
 use isolation_bench::relstore::{Database, Row};
 use isolation_bench::simcore::stats::{Cdf, RunningStats};
 use isolation_bench::simcore::{
-    rng, Bandwidth, EventQueue, Nanos, ReferenceHeap, ShardedCores, SimRng,
+    rng, Bandwidth, EventQueue, Nanos, ReferenceHeap, ShardedCores, SimRng, Zipf,
 };
 use isolation_bench::workloads::pipeline::BASELINE_HIT_RATE;
 use isolation_bench::workloads::slots::{ClassConfig, SlotPolicy, SlotPool};
@@ -223,6 +223,19 @@ proptest! {
         let mut b = SimRng::seed_from(seed);
         for _ in 0..n {
             prop_assert_eq!(a.next_u64(), b.next_u64());
+        }
+    }
+
+    #[test]
+    fn zipf_ranks_stay_inside_the_item_range(
+        seed in 0u64..u64::MAX,
+        n in 0usize..3_000,
+        theta in 0.0f64..1.0,
+    ) {
+        let zipf = Zipf::new(n, theta).unwrap();
+        let mut rng = SimRng::seed_from(seed);
+        for _ in 0..64 {
+            prop_assert!(zipf.sample(&mut rng) < n.max(1));
         }
     }
 
